@@ -3,12 +3,10 @@
 //  (a) Parent rule — the paper's least-first vs our spread rule: certified
 //      contributor counts on a fault-free Q_4 component, whether each rule
 //      can support Q_n at all, and diagnosis time where both apply.
-//  (b) Probe early-exit — building probe components to their fixpoint
-//      (paper-faithful) vs stopping on certification: look-ups saved.
-//  (c) Component granularity — diagnosing Q_12 with every certifiable
+//  (b) Component granularity — diagnosing Q_12 with every certifiable
 //      component size m: probes get cheaper as components shrink, until
 //      certification fails.
-#include "bench_util.hpp"
+#include "bench_main.hpp"
 #include "core/certified_partition.hpp"
 #include "core/set_builder.hpp"
 
@@ -88,36 +86,7 @@ void BM_ParentRule(benchmark::State& state, ParentRule rule) {
        result.success ? "yes" : "NO"});
 }
 
-// (b) Probe early-exit ablation. One fault sits on each of the first 12
-// probed seeds: a probe from a faulty seed stalls immediately (its healthy
-// U_1 children all test s_v(w, seed) = 1), so 12 probes fail before the
-// 13th certifies — the worst case the driver's δ+1 bound allows.
-void BM_ProbeStop(benchmark::State& state, bool stop_on_certify) {
-  const std::string spec = "hypercube 12";
-  const auto& inst = instance(spec);
-  DiagnoserOptions options;
-  options.stop_probe_on_certify = stop_on_certify;
-  Diagnoser diag(*inst.topo, inst.graph, options);
-  const PartitionPlan& plan = *diag.partition().plan;
-  std::vector<Node> faults_vec;
-  for (std::uint32_t c = 0; c < 12; ++c) faults_vec.push_back(plan.seed_of(c));
-  const FaultSet faults(inst.graph.num_nodes(), faults_vec);
-  const LazyOracle oracle(inst.graph, faults, FaultyBehavior::kRandom, 7);
-  DiagnosisResult result;
-  Timer timer;
-  for (auto _ : state) {
-    result = diag.diagnose(oracle);
-    benchmark::DoNotOptimize(result);
-  }
-  const double spo =
-      state.iterations() ? timer.seconds() / static_cast<double>(state.iterations()) : 0;
-  ExperimentTable::get().add_row(
-      {"probe-exit", stop_on_certify ? "stop-on-certify" : "fixpoint (paper)",
-       "probes=" + Table::num(result.probes), Table::num(spo * 1e3, 3),
-       Table::num(result.lookups), "-", result.success ? "yes" : "NO"});
-}
-
-// (c) Component-granularity ablation on Q_12.
+// (b) Component-granularity ablation on Q_12.
 void BM_Granularity(benchmark::State& state, unsigned suffix_bits) {
   const std::string spec = "hypercube 12";
   const auto& inst = instance(spec);
@@ -149,8 +118,8 @@ void BM_Granularity(benchmark::State& state, unsigned suffix_bits) {
 
 void register_all() {
   ExperimentTable::get().init(
-      "E12 — ablations on Q_12 (|F| = 12): parent rule, probe early-exit, "
-      "component granularity",
+      "E12 — ablations on Q_12 (|F| = 12): parent rule, component "
+      "granularity",
       {"ablation", "variant", "config", "time_ms", "lookups", "note",
        "success"});
   benchmark::RegisterBenchmark("parent_rule/least_first", BM_ParentRule,
@@ -158,11 +127,6 @@ void register_all() {
       ->Unit(benchmark::kMillisecond);
   benchmark::RegisterBenchmark("parent_rule/spread", BM_ParentRule,
                                ParentRule::kSpread)
-      ->Unit(benchmark::kMillisecond);
-  benchmark::RegisterBenchmark("probe_exit/fixpoint", BM_ProbeStop, false)
-      ->Unit(benchmark::kMillisecond);
-  benchmark::RegisterBenchmark("probe_exit/stop_on_certify", BM_ProbeStop,
-                               true)
       ->Unit(benchmark::kMillisecond);
   for (const unsigned m : {4u, 5u, 6u, 7u, 8u}) {
     benchmark::RegisterBenchmark(

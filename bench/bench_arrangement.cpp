@@ -1,7 +1,7 @@
 // E7 (Theorem 7): arrangement graphs A_{n,k} — diagnosis of up to n-1
 // faults (the theorem's bound; the split yields only n components) in
 // O(n!·k(n-k)/(n-k)!).
-#include "bench_util.hpp"
+#include "bench_main.hpp"
 
 namespace mmdiag::bench {
 namespace {

@@ -3,7 +3,7 @@
 // O(n·2^n) with the same generic driver. The table reports absolute time
 // and the normalised constant time/(n·2^n), which should stay flat per
 // family and comparable across families.
-#include "bench_util.hpp"
+#include "bench_main.hpp"
 
 namespace mmdiag::bench {
 namespace {

@@ -9,7 +9,7 @@
 
 #include "distributed/protocol.hpp"
 
-#include "bench_util.hpp"
+#include "bench_main.hpp"
 #include "topology/hypercube.hpp"
 
 namespace mmdiag::bench {
@@ -31,7 +31,7 @@ void BM_DistOurs(benchmark::State& state) {
   state.counters["rounds"] = static_cast<double>(cost.rounds);
   state.counters["messages"] = static_cast<double>(cost.messages);
   ExperimentTable::get().add_row(
-      {"Q" + std::to_string(n), "set_builder (ours)",
+      {std::string("Q").append(std::to_string(n)), "set_builder (ours)",
        Table::num(inst.graph.num_nodes()), Table::num(cost.rounds),
        Table::num(cost.messages), Table::num(cost.local_work),
        cost.success ? "yes" : "NO"});
@@ -53,7 +53,7 @@ void BM_DistProtocol(benchmark::State& state) {
   state.counters["rounds"] = static_cast<double>(stats.rounds);
   state.counters["messages"] = static_cast<double>(stats.messages);
   ExperimentTable::get().add_row(
-      {"Q" + std::to_string(n), "set_builder (simulated)",
+      {std::string("Q").append(std::to_string(n)), "set_builder (simulated)",
        Table::num(inst.graph.num_nodes()), Table::num(stats.rounds),
        Table::num(stats.messages), Table::num(stats.lookups),
        stats.success ? "yes" : "NO"});
@@ -74,7 +74,7 @@ void BM_DistChiangTan(benchmark::State& state) {
   state.counters["rounds"] = static_cast<double>(cost.rounds);
   state.counters["messages"] = static_cast<double>(cost.messages);
   ExperimentTable::get().add_row(
-      {"Q" + std::to_string(n), "chiang_tan",
+      {std::string("Q").append(std::to_string(n)), "chiang_tan",
        Table::num(inst.graph.num_nodes()), Table::num(cost.rounds),
        Table::num(cost.messages), Table::num(cost.local_work),
        cost.success ? "yes" : "NO"});

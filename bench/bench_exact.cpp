@@ -5,7 +5,7 @@
 // the structural theory earns its keep even though propagation makes the
 // solver far faster than naive enumeration.
 #include "baselines/exact_solver.hpp"
-#include "bench_util.hpp"
+#include "bench_main.hpp"
 
 namespace mmdiag::bench {
 namespace {

@@ -6,7 +6,7 @@
 // time/(n·2^n) roughly flat for ours across n.
 #include "baselines/chiang_tan.hpp"
 #include "baselines/yang_cycle.hpp"
-#include "bench_util.hpp"
+#include "bench_main.hpp"
 #include "topology/hypercube.hpp"
 
 namespace mmdiag::bench {
@@ -24,7 +24,7 @@ void report(benchmark::State& state, const std::string& algorithm, unsigned n,
   state.counters["lookups"] = static_cast<double>(result.lookups);
   state.counters["t_norm_ns"] = seconds_per_op * 1e9 / (n * nodes);
   ExperimentTable::get().add_row(
-      {("Q" + std::to_string(n)), algorithm, Table::num(std::uint64_t(nodes)),
+      {std::string("Q").append(std::to_string(n)), algorithm, Table::num(std::uint64_t(nodes)),
        Table::num(seconds_per_op * 1e3, 3),
        Table::num(seconds_per_op * 1e9 / (n * nodes), 3),
        Table::num(result.lookups), result.success ? "yes" : "NO"});

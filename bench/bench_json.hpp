@@ -3,9 +3,8 @@
 // holds finished JSON text, so composition is string concatenation and the
 // writer cannot emit structurally invalid output.
 //
-// Split out of bench_util.hpp so benches that do not use google-benchmark
-// (bench_batch-style sweep drivers, bench_hotpath) can report without
-// pulling in the benchmark library.
+// Free of google-benchmark, so every JSON bench (the bench_batch-style
+// sweep drivers included) reports without the benchmark library.
 #pragma once
 
 #include <cmath>

@@ -2,7 +2,7 @@
 // augmented k-ary n-cubes (as their spanning supergraphs) handle |F| <= 4n-2
 // with the same driver. The normalised constant time/(n·k^n) should stay
 // flat along each family.
-#include "bench_util.hpp"
+#include "bench_main.hpp"
 
 namespace mmdiag::bench {
 namespace {

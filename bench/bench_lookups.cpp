@@ -8,7 +8,7 @@
 //   - Chiang-Tan's measured look-ups (hypercube instances).
 // No timing — a single diagnosis per instance (Iterations(1)).
 #include "baselines/chiang_tan.hpp"
-#include "bench_util.hpp"
+#include "bench_main.hpp"
 #include <cmath>
 
 #include "topology/hypercube.hpp"

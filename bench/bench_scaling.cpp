@@ -2,7 +2,7 @@
 // family. The table reports time/(Δ·N) — the hidden constant — which should
 // sit in a narrow band across families and sizes, demonstrating that the
 // bound, not the topology, governs the cost.
-#include "bench_util.hpp"
+#include "bench_main.hpp"
 
 namespace mmdiag::bench {
 namespace {

@@ -3,7 +3,7 @@
 // the Chiang-Tan baseline (the family their paper illustrates) — expected
 // shape: comparable times, ours with far fewer syndrome look-ups.
 #include "baselines/chiang_tan.hpp"
-#include "bench_util.hpp"
+#include "bench_main.hpp"
 #include "topology/star_graph.hpp"
 
 namespace mmdiag::bench {

@@ -1,11 +1,9 @@
-// Shared machinery for the experiment benches (EXPERIMENTS.md E1-E12).
-//
-// Each bench binary is a google-benchmark executable whose benchmarks also
-// append rows to a global experiment table; main() runs the benchmarks and
-// then prints the table the corresponding paper claim calls for.
+// Shared machinery for the experiment benches (EXPERIMENTS.md E1-E12):
+// cached instances and calibrated Diagnosers, deterministic fault sets, and
+// a global experiment table. Free of google-benchmark, so the JSON sweep
+// drivers (bench_batch, bench_engine) build without it; the
+// google-benchmark binaries include bench_main.hpp instead.
 #pragma once
-
-#include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <iostream>
@@ -138,16 +136,5 @@ class ExperimentTable {
   std::vector<std::vector<std::string>> rows_;
   std::map<std::string, std::size_t> row_index_;
 };
-
-/// Standard bench main: run benchmarks, then print the experiment table.
-#define MMDIAG_BENCH_MAIN()                                   \
-  int main(int argc, char** argv) {                           \
-    ::benchmark::Initialize(&argc, argv);                     \
-    if (::benchmark::ReportUnrecognizedArguments(argc, argv)) \
-      return 1;                                               \
-    ::benchmark::RunSpecifiedBenchmarks();                    \
-    ::mmdiag::bench::ExperimentTable::get().print(std::cout); \
-    return 0;                                                 \
-  }
 
 }  // namespace mmdiag::bench

@@ -2,11 +2,11 @@
 # Tier-1 verify, exactly as ROADMAP.md specifies:
 #   cmake -B build -S . && cmake --build build -j && cd build && ctest --output-on-failure -j
 # followed by a bench smoke (bench_batch on tiny instances must emit a
-# BENCH_batch.json that parses as JSON; skipped if google-benchmark was not
-# found), an engine-cache smoke, a hot-path dispatch-equivalence smoke
-# (bench_hotpath builds without google-benchmark, so it always runs), and a
-# fuzz smoke: 200 deterministic differential cases of the §5 driver against
-# the exact solver. A fuzz divergence exits non-zero and
+# BENCH_batch.json that parses as JSON), an engine-cache smoke, the JSON
+# bench smokes (none needs google-benchmark), a UBSan pass, a Release
+# (-O3, -Werror) build and ctest of every target, and a fuzz smoke: 200
+# deterministic differential cases of the §5 driver against the exact
+# solver. A fuzz divergence exits non-zero and
 # leaves minimized repro files in build/fuzz-repros/ (uploaded as a CI
 # artifact; check the repro into tests/corpus/ once the bug is fixed).
 #
@@ -49,7 +49,7 @@ PY
     echo "bench smoke: python3 unavailable, JSON validation skipped"
   fi
 else
-  echo "bench smoke: bench_batch not built (google-benchmark missing), skipped"
+  echo "bench smoke: bench_batch not built (benches disabled), skipped"
 fi
 
 if [ -x bench/bench_engine ]; then
@@ -78,34 +78,7 @@ PY
     echo "engine smoke: python3 unavailable, JSON validation skipped"
   fi
 else
-  echo "engine smoke: bench_engine not built (google-benchmark missing), skipped"
-fi
-
-if [ -x bench/bench_hotpath ]; then
-  # The hot-path smoke must show dispatch equivalence holding: the
-  # statically-dispatched path and the preserved baseline implementation
-  # have to report bit-identical faults AND look-up counts on every row
-  # (the binary itself exits non-zero on divergence; the JSON fields are
-  # re-checked here so a reporting bug cannot mask one).
-  ./bench/bench_hotpath --smoke --out BENCH_hotpath.json
-  if command -v python3 >/dev/null; then
-    python3 - <<'PY'
-import json
-with open("BENCH_hotpath.json") as f:
-    report = json.load(f)
-rows = report["results"]
-assert rows, "BENCH_hotpath.json has no results"
-for r in rows:
-    assert r["identical_faults"], f"dispatch paths disagreed on faults: {r}"
-    assert r["identical_lookups"], f"dispatch paths disagreed on look-up counts: {r}"
-    assert r["identical_accounting"], f"dispatch paths disagreed on accounting: {r}"
-print(f"hotpath smoke: {len(rows)} rows, dispatch paths bit-identical everywhere")
-PY
-  else
-    echo "hotpath smoke: python3 unavailable, JSON validation skipped"
-  fi
-else
-  echo "hotpath smoke: bench_hotpath not built, skipped"
+  echo "engine smoke: bench_engine not built (benches disabled), skipped"
 fi
 
 if [ -x bench/bench_scale ]; then
@@ -308,6 +281,14 @@ cmake --build build-ubsan -j --target util_test syndrome_test \
 ./build-ubsan/tests/churn_test
 echo "ubsan smoke: word-level kernel, directed-model, shard and churn" \
      "suites clean under -fsanitize=undefined"
+
+# Release build of every target: -O3 enables optimiser-driven warnings
+# (GCC's -Wrestrict, -Wstringop-*) that the default RelWithDebInfo -O2
+# build never sees, and -Werror makes them fatal.
+cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release "$@"
+cmake --build build-release -j
+(cd build-release && ctest --output-on-failure -j)
+echo "release smoke: -O3 build of every target clean, ctest green"
 cd build
 
 if [ -x examples/mmdiag_cli ]; then

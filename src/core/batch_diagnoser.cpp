@@ -96,10 +96,8 @@ BatchResult BatchDiagnoser::diagnose_all(
             out.results[table_idx[base + k]] = std::move(res[k]);
           }
         } else {
-          // One typeid dispatch per syndrome recovers the devirtualised
-          // solve path behind the type-erased batch interface.
           const std::size_t i = scalar_idx[item - num_cohorts];
-          out.results[i] = diagnose_devirtualized(*lanes_[lane], *oracles[i]);
+          out.results[i] = lanes_[lane]->diagnose(*oracles[i]);
         }
       });
   out.seconds = timer.seconds();

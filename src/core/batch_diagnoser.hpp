@@ -5,7 +5,7 @@
 // (cheap, O(Δ·N)). A diagnosis sweep over a large regular network re-uses
 // the same setup for every syndrome, so BatchDiagnoser certifies the
 // partition once and fans the solves out over a fixed ThreadPool. Each
-// worker lane owns a full Diagnoser (SetBuilder frontiers, StampSet
+// worker lane owns a full Diagnoser (SetBuilder frontiers and membership
 // scratch) built from the shared partition, so no mutable diagnosis state
 // crosses a thread boundary and every result is bit-identical to running
 // the sequential Diagnoser on the same syndrome: the per-item computation

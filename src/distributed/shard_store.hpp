@@ -21,7 +21,7 @@
 //     construction (the cache never evicts), so the exchange traffic a
 //     real cluster would see is exactly halo_rows_exchanged().
 //
-// Row reads are *uncounted* here for the same reason TableOracle::row_bits
+// Row reads are *uncounted* here for the same reason TableOracle::row_bits_at
 // is: a row read is a physical access pattern. The sharded solver charges
 // exactly the pairs it consults, so counted look-ups stay bit-identical to
 // the monolithic run — the exchange adds traffic, never look-ups.

@@ -97,7 +97,7 @@ DiagnosisResult ShardedDiagnoser::diagnose(const FaultSet& faults,
   return diagnose_on(stores);
 }
 
-// The monolithic Diagnoser::diagnose_impl_on, with SetBuilder runs replaced
+// The monolithic Diagnoser::diagnose_on, with SetBuilder runs replaced
 // by run_sharded and the boundary scan fanned over owner ranges. Phase
 // structure, failure strings and accounting are replicated verbatim — the
 // bit-identity contract depends on it.
@@ -115,9 +115,9 @@ DiagnosisResult ShardedDiagnoser::diagnose_on(
   bool found = false;
   for (std::size_t c = 0; c < max_probes; ++c) {
     ++out.probes;
-    const RunOutcome probe = run_sharded(
-        stores, plan.seed_of(c), options_.diagnoser.rule, &plan,
-        static_cast<std::uint32_t>(c), options_.diagnoser.stop_probe_on_certify);
+    const RunOutcome probe =
+        run_sharded(stores, plan.seed_of(c), options_.diagnoser.rule, &plan,
+                    static_cast<std::uint32_t>(c));
     if (probe.all_healthy) {
       certified = static_cast<std::uint32_t>(c);
       found = true;
@@ -139,7 +139,7 @@ DiagnosisResult ShardedDiagnoser::diagnose_on(
   // Phase 2: unrestricted run from the certified seed.
   const RunOutcome full =
       run_sharded(stores, plan.seed_of(certified), options_.diagnoser.final_rule,
-                  nullptr, 0, false);
+                  nullptr, 0);
   out.final_members = full.member_count;
   out.final_rounds = full.rounds;
 
@@ -217,7 +217,7 @@ void ShardedDiagnoser::for_each_parent_group(Fn&& fn) {
 // check and consult replicates the monolith's order.
 ShardedDiagnoser::RunOutcome ShardedDiagnoser::run_sharded(
     std::vector<ShardRowStore>& stores, Node u0, ParentRule rule,
-    const PartitionPlan* plan, std::uint32_t comp, bool stop_on_certify) {
+    const PartitionPlan* plan, std::uint32_t comp) {
   const ImplicitGraph& g = view_;
   if (u0 >= g.num_nodes()) throw std::invalid_argument("Set_Builder: bad seed");
   if (plan != nullptr && plan->component_of(u0) != comp) {
@@ -301,10 +301,6 @@ ShardedDiagnoser::RunOutcome ShardedDiagnoser::run_sharded(
 
   // ---- Rounds i >= 2. -------------------------------------------------------
   while (next_count > 0) {
-    if (result.contributors > delta_) {
-      result.all_healthy = true;
-      if (stop_on_certify) break;
-    }
     const unsigned ci = fi;  // the frontier being consumed this round
     fi ^= 1;
     next_count = 0;
@@ -417,11 +413,6 @@ ShardedDiagnoser::RunOutcome ShardedDiagnoser::run_sharded(
     }
 
     if (next_count > 0) ++result.rounds;
-  }
-
-  if (stop_on_certify && next_count > 0) {
-    std::fill(frontier_words_[0].begin(), frontier_words_[0].end(), 0u);
-    std::fill(frontier_words_[1].begin(), frontier_words_[1].end(), 0u);
   }
 
   if (result.contributors > delta_) result.all_healthy = true;

@@ -43,7 +43,7 @@
 // (the default probe rule) for the final run too.
 //
 // Look-up accounting is unchanged by construction: row reads are physical
-// and uncounted (TableOracle::row_bits semantics), each shard counts
+// and uncounted (TableOracle::row_bits_at semantics), each shard counts
 // exactly the pairs it consults, and the per-round sum over shards equals
 // the monolith's count because both consult the same pair set. The halo
 // exchange moves rows, never look-ups.
@@ -141,7 +141,7 @@ class ShardedDiagnoser {
   DiagnosisResult diagnose_on(std::vector<ShardRowStore>& stores);
   RunOutcome run_sharded(std::vector<ShardRowStore>& stores, Node u0,
                          ParentRule rule, const PartitionPlan* plan,
-                         std::uint32_t comp, bool stop_on_certify);
+                         std::uint32_t comp);
   template <class Fn>
   void for_each_parent_group(Fn&& fn);
   void fill_stats(const std::vector<ShardRowStore>& stores);

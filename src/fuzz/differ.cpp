@@ -6,6 +6,7 @@
 
 #include "baselines/directed_exact.hpp"
 #include "baselines/exact_solver.hpp"
+#include "baselines/reference_driver.hpp"
 #include "churn/churn_stream.hpp"
 #include "churn/harness.hpp"
 #include "core/batch_diagnoser.hpp"
@@ -19,6 +20,7 @@
 #include "mm/fault_set.hpp"
 #include "mm/oracle.hpp"
 #include "topology/registry.hpp"
+#include "util/rng.hpp"
 
 namespace mmdiag {
 namespace {
@@ -79,10 +81,7 @@ std::optional<DiagnosisResult> run_config(DiffReport& report,
   try {
     Diagnoser diagnoser(graph, partition, options);
     const LazyOracle oracle(graph, faults, c.behavior, c.behavior_seed);
-    // Deliberately the type-erased path: the differ's reference runs with
-    // virtual dispatch, and the dispatch check below races the baseline
-    // and statically-dispatched paths against it.
-    return diagnoser.diagnose(static_cast<const SyndromeOracle&>(oracle));
+    return diagnoser.diagnose(oracle);
   } catch (const std::exception& e) {
     report.divergences.push_back(
         {config, std::string("driver threw: ") + e.what()});
@@ -91,15 +90,15 @@ std::optional<DiagnosisResult> run_config(DiffReport& report,
 }
 
 /// Compares every accounted field of two results; any mismatch between
-/// dispatch paths of the same configuration is a hot-path bug by
-/// definition (same algorithm, same oracle, same partition).
-void check_dispatch_identical(DiffReport& report, const std::string& config,
+/// two drivers of the same configuration is a bug by definition (same
+/// algorithm, same oracle, same partition).
+void check_bit_identical(DiffReport& report, const std::string& config,
                               const DiagnosisResult& reference,
                               const DiagnosisResult& other) {
   // failure_reason is part of the comparison: on a beyond-delta boundary
   // failure the fault list is cleared and the boundary size survives only
   // in the message, so dropping it would blind this guard to a phase-3
-  // divergence between dispatch paths.
+  // divergence between drivers.
   if (other.success != reference.success ||
       other.faults != reference.faults ||
       other.failure_reason != reference.failure_reason ||
@@ -109,7 +108,7 @@ void check_dispatch_identical(DiffReport& report, const std::string& config,
       other.final_members != reference.final_members ||
       other.final_rounds != reference.final_rounds) {
     report.divergences.push_back(
-        {config, "not bit-identical to the virtual-dispatch reference "
+        {config, "not bit-identical to the seq-spread reference "
                  "(faults " +
                      join_nodes(other.faults) + " vs " +
                      join_nodes(reference.faults) + ", lookups " +
@@ -397,33 +396,24 @@ DiffReport run_differential(FuzzContext& ctx, const FuzzCase& c,
   }
 
   // Sequential configurations.
-  DiagnoserOptions spread_options;  // rule = kSpread, stop = false
+  DiagnoserOptions spread_options;  // rule = kSpread
   const std::optional<DiagnosisResult> reference = run_config(
       report, "seq-spread", s.graph(), s.spread->partition, spread_options, c, faults);
   if (reference) {
     check_result(report, "seq-spread", *reference, truth, c);
   }
 
-  // Dispatch equivalence: the statically-dispatched hot path (concrete
-  // LazyOracle overload) and the preserved baseline implementation must be
+  // The seed implementation (baselines/reference_driver.hpp) must be
   // bit-identical — faults, look-ups, probes, component, rounds — to the
-  // virtual reference above. This is the fuzz-side guard on the hot-path
-  // restructuring; tests/dispatch_equiv_test.cpp is the deterministic one.
+  // driver above. This is the fuzz-side guard on the hot path;
+  // tests/dispatch_equiv_test.cpp is the deterministic one.
   if (reference) {
     try {
-      Diagnoser diagnoser(s.graph(), s.spread->partition, spread_options);
       const LazyOracle oracle(s.graph(), faults, c.behavior, c.behavior_seed);
-      check_dispatch_identical(report, "seq-spread-static", *reference,
-                               diagnoser.diagnose(oracle));
-    } catch (const std::exception& e) {
-      report.divergences.push_back(
-          {"seq-spread-static", std::string("driver threw: ") + e.what()});
-    }
-    try {
-      Diagnoser diagnoser(s.graph(), s.spread->partition, spread_options);
-      const LazyOracle oracle(s.graph(), faults, c.behavior, c.behavior_seed);
-      check_dispatch_identical(report, "seq-spread-baseline", *reference,
-                               diagnoser.diagnose_baseline(oracle));
+      check_bit_identical(
+          report, "seq-spread-baseline", *reference,
+          reference_diagnose(s.graph(), s.spread->partition, spread_options,
+                             oracle));
     } catch (const std::exception& e) {
       report.divergences.push_back(
           {"seq-spread-baseline", std::string("driver threw: ") + e.what()});
@@ -438,7 +428,7 @@ DiffReport run_differential(FuzzContext& ctx, const FuzzCase& c,
         Diagnoser diagnoser(iview, s.spread->partition, spread_options);
         const ImplicitLazyOracle oracle(iview, faults, c.behavior,
                                         c.behavior_seed);
-        check_dispatch_identical(report, "seq-spread-implicit", *reference,
+        check_bit_identical(report, "seq-spread-implicit", *reference,
                                  diagnoser.diagnose(oracle));
       } catch (const std::exception& e) {
         report.divergences.push_back(
@@ -471,13 +461,6 @@ DiffReport run_differential(FuzzContext& ctx, const FuzzCase& c,
   } catch (const std::exception& e) {
     report.divergences.push_back(
         {"seq-spread-verified", std::string("driver threw: ") + e.what()});
-  }
-
-  DiagnoserOptions eager = spread_options;
-  eager.stop_probe_on_certify = true;
-  if (const auto r = run_config(report, "seq-spread-stopcert", s.graph(),
-                                s.spread->partition, eager, c, faults)) {
-    check_result(report, "seq-spread-stopcert", *r, truth, c);
   }
 
   if (s.least_first) {
@@ -550,13 +533,13 @@ DiffReport run_differential(FuzzContext& ctx, const FuzzCase& c,
           diagnoser.diagnose(static_cast<const SyndromeOracle&>(healthy_scalar));
       const auto cohort =
           diagnoser.diagnose_cohort({&healthy0, &case0, &healthy1, &case1});
-      check_dispatch_identical(report, "cohort-bitsliced", healthy_expected,
+      check_bit_identical(report, "cohort-bitsliced", healthy_expected,
                                cohort[0]);
-      check_dispatch_identical(report, "cohort-bitsliced", *reference,
+      check_bit_identical(report, "cohort-bitsliced", *reference,
                                cohort[1]);
-      check_dispatch_identical(report, "cohort-bitsliced", healthy_expected,
+      check_bit_identical(report, "cohort-bitsliced", healthy_expected,
                                cohort[2]);
-      check_dispatch_identical(report, "cohort-bitsliced", *reference,
+      check_bit_identical(report, "cohort-bitsliced", *reference,
                                cohort[3]);
     } catch (const std::exception& e) {
       report.divergences.push_back(

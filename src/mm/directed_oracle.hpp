@@ -3,9 +3,9 @@
 // The same counted-look-up discipline as the MM* SyndromeOracle family: the
 // per-model drivers' complexity claims (and the BGM local-diagnosis bound —
 // per-request look-ups within the node's neighbourhood arc count) are about
-// results consulted, so every oracle counts. TableOracle's uncounted
-// row_bits analogue exists here too for whole-run readers that account in
-// bulk via add_lookups.
+// results consulted, so every oracle counts. An uncounted word-level
+// row_bits read exists here for whole-run readers that account in bulk via
+// add_lookups.
 #pragma once
 
 #include <cstdint>
@@ -59,7 +59,7 @@ class DirectedTableOracle final : public DirectedOracle {
       : DirectedOracle(g, model), syndrome_(&syndrome) {}
 
   /// Raw word-level read of u's whole outgoing run — uncounted, like
-  /// TableOracle::row_bits; callers account consulted arcs via
+  /// TableOracle::row_bits_at; callers account consulted arcs via
   /// add_lookups(). Requires degree(u) <= 64.
   [[nodiscard]] std::uint64_t row_bits(Node u) const noexcept {
     return syndrome_->row_bits(u);

@@ -11,10 +11,8 @@
 #include <array>
 #include <bit>
 #include <cassert>
-#include <concepts>
 #include <cstdint>
 #include <memory>
-#include <type_traits>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -77,21 +75,13 @@ class TableOracle final : public SyndromeOracle {
   TableOracle(const Graph& g, const Syndrome& syndrome)
       : SyndromeOracle(g), syndrome_(&syndrome) {}
 
-  /// Raw word-level row read: bit p = s_u(i, p) for every position p != i
-  /// of u (Syndrome::row_bits). Deliberately *uncounted* — a row read is a
-  /// physical access pattern, not a batch of logical look-ups. Callers
-  /// account exactly the pairs they consult via add_lookups(), so the
-  /// counter stays bit-identical to the per-pair test() path (§6's look-up
-  /// complexity is about results consulted, not words touched).
-  /// Requires degree(u) <= 64.
-  [[nodiscard]] std::uint64_t row_bits(Node u, unsigned i) const noexcept {
-    return syndrome_->row_bits(u, i);
-  }
-
   /// Split row addressing (Syndrome::row_location / row_bits_at): cohort
   /// readers resolve a row's location once — it is layout-determined, hence
   /// identical for every syndrome on the same graph — and issue one raw
-  /// read per lane. Uncounted, like row_bits.
+  /// read per lane. Deliberately *uncounted*: a row read is a physical
+  /// access pattern, not a batch of logical look-ups, so the cohort kernel
+  /// charges exactly the pairs it consults (§6's look-up complexity is
+  /// about results consulted, not words touched).
   [[nodiscard]] Syndrome::RowLocation row_location(Node u,
                                                    unsigned i) const noexcept {
     return syndrome_->row_location(u, i);
@@ -175,40 +165,13 @@ class FaultFreeOracle final : public SyndromeOracle {
 };
 
 // ---------------------------------------------------------------------------
-// Static-dispatch concepts. SetBuilder/Diagnoser template their hot paths on
-// the concrete oracle type: a final subclass lets the compiler devirtualise
-// and inline test_impl, so every look-up is a plain counter bump plus a
-// direct read instead of a virtual call. The virtual SyndromeOracle
-// signatures remain the type-erased entry points; both instantiations run
-// the same driver code, so results and look-up counts are bit-identical
-// (asserted per family/rule/oracle by tests/dispatch_equiv_test.cpp).
-// ---------------------------------------------------------------------------
-
-/// Oracle types eligible for the statically-dispatched hot path: concrete
-/// (final) SyndromeOracle implementations whose dynamic type the call site
-/// knows exactly. The non-final base deliberately fails this concept so a
-/// `const SyndromeOracle&` argument binds to the virtual-dispatch overloads.
-template <class O>
-concept StaticOracle =
-    std::derived_from<O, SyndromeOracle> && std::is_final_v<O>;
-
-/// Static oracles additionally serving packed syndrome rows (TableOracle):
-/// the driver reads one 64-bit word per (node, pivot) row and accounts the
-/// consulted pairs through add_lookups.
-template <class O>
-concept WordRowOracle = StaticOracle<O> &&
-    requires(const O& o, Node u, unsigned i) {
-      { o.row_bits(u, i) } -> std::same_as<std::uint64_t>;
-    };
-
-// ---------------------------------------------------------------------------
 // Bitsliced cohort view: structure-of-arrays over up to 64 TableOracles.
 // ---------------------------------------------------------------------------
 
 /// A lane-major, lazily-transposed view of up to 64 syndromes on one graph.
 ///
-/// Row storage (Syndrome / TableOracle::row_bits) packs one syndrome's
-/// s_u(pivot, ·) row into a word: bit p = outcome at neighbour position p.
+/// Row storage (Syndrome::row_bits) packs one syndrome's s_u(pivot, ·) row
+/// into a word: bit p = outcome at neighbour position p.
 /// The cohort kernel (SetBuilder::run_sliced) wants the *other* axis in
 /// registers — for a fixed (u, pivot, p), the outcome of every cohort
 /// member at once — so transposed_row() gathers each lane's packed row and
@@ -224,7 +187,7 @@ concept WordRowOracle = StaticOracle<O> &&
 /// one ripple-add of the mask, ~2 word ops amortised — instead of a
 /// 64-iteration scalar loop per charge; lane_lookups() folds the planes.
 /// The kernel flushes lane_lookups() into each TableOracle's counter via
-/// add_lookups(), exactly like the scalar word-row path.
+/// add_lookups().
 ///
 /// Single-threaded by design (one cohort per worker lane): the transpose
 /// scratch and counters are unsynchronised, like every oracle's counter.
@@ -279,7 +242,7 @@ class BitSlicedOracle {
 
   /// The cohort's s_u(pivot, ·) rows flipped lane-major: word p of the
   /// returned array has bit L = lane L's s_u(pivot, p); only words
-  /// p < degree(u) are meaningful. Uncounted, like row_bits — callers
+  /// p < degree(u) are meaningful. Uncounted, like row_bits_at — callers
   /// charge() exactly the pairs they consult. The pointer targets the
   /// persistent row cache and stays valid until add_lane() or a colliding
   /// (u, pivot) overwrites the slot; treat it as single-use, like scratch.

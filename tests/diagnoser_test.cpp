@@ -121,24 +121,6 @@ TEST_F(HypercubeDiagnosis, PaperParentRuleWorksOnQ7) {
   EXPECT_EQ(result.faults, faults.nodes());
 }
 
-TEST_F(HypercubeDiagnosis, StopProbeOnCertifySameAnswerFewerLookups) {
-  DiagnoserOptions eager;
-  eager.stop_probe_on_certify = true;
-  Diagnoser fast(*inst_.topo, inst_.graph, eager);
-  Diagnoser faithful(*inst_.topo, inst_.graph);
-  Rng rng(4);
-  const FaultSet faults(inst_.graph.num_nodes(),
-                        inject_uniform(inst_.graph.num_nodes(), 6, rng));
-  const LazyOracle o1(inst_.graph, faults, FaultyBehavior::kRandom, 6);
-  const LazyOracle o2(inst_.graph, faults, FaultyBehavior::kRandom, 6);
-  const auto r_fast = fast.diagnose(o1);
-  const auto r_faithful = faithful.diagnose(o2);
-  ASSERT_TRUE(r_fast.success);
-  ASSERT_TRUE(r_faithful.success);
-  EXPECT_EQ(r_fast.faults, r_faithful.faults);
-  EXPECT_LE(r_fast.lookups, r_faithful.lookups);
-}
-
 TEST_F(HypercubeDiagnosis, SmallerDeltaOverrideIsHonoured) {
   DiagnoserOptions options;
   options.delta = 3;

@@ -1,17 +1,17 @@
-// Dispatch-equivalence regression suite: the statically-dispatched hot
-// path, the type-erased virtual entry, and the preserved baseline
-// implementation must report bit-identical diagnoses — faults, rounds,
-// contributors, probes AND look-up counts — for every registry family,
-// all four parent rules, and all three shipped oracles. This is the
-// contract that lets bench_hotpath call its speedup "the same algorithm,
-// faster": any divergence here is a correctness bug in the hot path, not
-// a measurement artefact.
+// Bit-identity regression suite: the hot-path driver and the seed
+// reference implementation (baselines/reference_driver.hpp) must report
+// bit-identical diagnoses — faults, failure strings, rounds, contributors,
+// probes AND look-up counts — for every registry family, all four parent
+// rules, and all three shipped oracles; so must the bitsliced cohort and
+// the implicit graph view. Any divergence here is a correctness bug in a
+// fast path, not a measurement artefact.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "baselines/reference_driver.hpp"
 #include "core/certified_partition.hpp"
 #include "core/diagnoser.hpp"
 #include "graph/implicit_graph.hpp"
@@ -55,20 +55,17 @@ void expect_bit_identical(const DiagnosisResult& expected,
   EXPECT_EQ(expected.final_rounds, actual.final_rounds) << what;
 }
 
-/// Runs one oracle through all three dispatch paths of one Diagnoser and
-/// cross-checks them (baseline is the expected voice: it is the seed
-/// implementation).
-template <class O>
-void check_all_paths(Diagnoser& diagnoser, const O& oracle,
-                     const std::string& what) {
-  const DiagnosisResult baseline = diagnoser.diagnose_baseline(oracle);
-  const DiagnosisResult erased =
-      diagnoser.diagnose(static_cast<const SyndromeOracle&>(oracle));
-  const DiagnosisResult statically = diagnoser.diagnose(oracle);
-  expect_bit_identical(baseline, erased, what + " [erased]");
-  expect_bit_identical(baseline, statically, what + " [static]");
-  const DiagnosisResult dispatched = diagnose_devirtualized(diagnoser, oracle);
-  expect_bit_identical(baseline, dispatched, what + " [devirtualized]");
+/// Races the driver against the seed reference on one oracle (the
+/// reference is the expected voice) and returns the driver's result.
+DiagnosisResult check_against_reference(Diagnoser& diagnoser,
+                                        const Graph& graph,
+                                        const SyndromeOracle& oracle,
+                                        const std::string& what) {
+  const DiagnosisResult expected = reference_diagnose(
+      graph, diagnoser.partition(), diagnoser.options(), oracle);
+  DiagnosisResult actual = diagnoser.diagnose(oracle);
+  expect_bit_identical(expected, actual, what);
+  return actual;
 }
 
 TEST(DispatchEquivalence, EveryFamilyEveryRuleEveryOracle) {
@@ -90,8 +87,9 @@ TEST(DispatchEquivalence, EveryFamilyEveryRuleEveryOracle) {
       const std::string tag =
           std::string(family.spec) + "/" + to_string(rule);
 
-      check_all_paths(diagnoser, FaultFreeOracle(inst.graph),
-                      tag + "/fault-free");
+      check_against_reference(diagnoser, inst.graph,
+                              FaultFreeOracle(inst.graph),
+                              tag + "/fault-free");
 
       for (const std::size_t num_faults :
            {std::size_t{1}, std::size_t{family.delta}}) {
@@ -103,23 +101,26 @@ TEST(DispatchEquivalence, EveryFamilyEveryRuleEveryOracle) {
           const std::string what = tag + "/faults=" +
                                    std::to_string(num_faults) + "/" +
                                    to_string(behavior);
-          check_all_paths(
-              diagnoser,
+          const DiagnosisResult lazy = check_against_reference(
+              diagnoser, inst.graph,
               LazyOracle(inst.graph, faults, behavior, /*seed=*/42),
               what + "/lazy");
           const Syndrome syndrome =
               generate_syndrome(inst.graph, faults, behavior, /*seed=*/42);
-          check_all_paths(diagnoser, TableOracle(inst.graph, syndrome),
-                          what + "/table");
+          const DiagnosisResult table = check_against_reference(
+              diagnoser, inst.graph, TableOracle(inst.graph, syndrome),
+              what + "/table");
+          // The table materialises exactly what the lazy oracle computes.
+          expect_bit_identical(lazy, table, what + "/lazy-vs-table");
         }
       }
     }
   }
 }
 
-// SetBuilder-level equivalence, including restricted runs (the probe shape)
-// and the look-up counter after each run.
-TEST(DispatchEquivalence, SetBuilderRunsMatchAcrossPaths) {
+// SetBuilder-level equivalence with the reference, including restricted
+// runs (the probe shape) and the look-up counter after each run.
+TEST(DispatchEquivalence, SetBuilderRunsMatchReference) {
   for (const FamilyCase& family : {FamilyCase{"hypercube 6", 4},
                                    FamilyCase{"star 5", 4},
                                    FamilyCase{"kary_ncube 3 4", 4}}) {
@@ -139,29 +140,22 @@ TEST(DispatchEquivalence, SetBuilderRunsMatchAcrossPaths) {
       SetBuilder builder(inst.graph, rule);
 
       table.reset_lookups();
-      const auto baseline = builder.run_baseline(table, seed, family.delta);
-      const std::uint64_t baseline_lookups = table.lookups();
+      const auto expected = reference_set_builder(inst.graph, rule, table,
+                                                  seed, family.delta);
+      const std::uint64_t expected_lookups = table.lookups();
 
       table.reset_lookups();
-      const auto erased = builder.run(
-          static_cast<const SyndromeOracle&>(table), seed, family.delta);
-      const std::uint64_t erased_lookups = table.lookups();
-
-      table.reset_lookups();
-      const auto statically = builder.run(table, seed, family.delta);
-      const std::uint64_t static_lookups = table.lookups();
-
-      for (const auto* r : {&erased, &statically}) {
-        EXPECT_EQ(baseline.all_healthy, r->all_healthy);
-        EXPECT_EQ(baseline.rounds, r->rounds);
-        EXPECT_EQ(baseline.contributors, r->contributors);
-        EXPECT_EQ(baseline.members, r->members);
-        EXPECT_EQ(baseline.parent, r->parent);
-      }
-      EXPECT_EQ(baseline_lookups, erased_lookups);
-      EXPECT_EQ(baseline_lookups, static_lookups);
+      const auto actual = builder.run(table, seed, family.delta);
+      EXPECT_EQ(expected.all_healthy, actual.all_healthy);
+      EXPECT_EQ(expected.rounds, actual.rounds);
+      EXPECT_EQ(expected.contributors, actual.contributors);
+      EXPECT_EQ(expected.members, actual.members);
+      EXPECT_EQ(expected.parent, actual.parent);
+      EXPECT_EQ(expected_lookups, table.lookups());
+      std::vector<bool> member(n, false);
+      for (const Node v : expected.members) member[v] = true;
       for (Node v = 0; v < n; ++v) {
-        EXPECT_EQ(builder.in_last_set(v), builder.in_last_baseline_set(v));
+        EXPECT_EQ(builder.in_last_set(v), member[v]) << "node " << v;
       }
     }
 
@@ -178,16 +172,17 @@ TEST(DispatchEquivalence, SetBuilderRunsMatchAcrossPaths) {
     for (std::uint32_t c = 0;
          c < std::min<std::size_t>(plan.num_components(), 4); ++c) {
       table.reset_lookups();
-      const auto baseline = builder.run_restricted_baseline(
-          table, plan.seed_of(c), family.delta, plan, c);
-      const std::uint64_t baseline_lookups = table.lookups();
+      const auto expected =
+          reference_set_builder(inst.graph, ParentRule::kSpread, table,
+                                plan.seed_of(c), family.delta, &plan, c);
+      const std::uint64_t expected_lookups = table.lookups();
       table.reset_lookups();
-      const auto statically = builder.run_restricted(
+      const auto actual = builder.run_restricted(
           table, plan.seed_of(c), family.delta, plan, c);
-      EXPECT_EQ(baseline.members, statically.members) << "component " << c;
-      EXPECT_EQ(baseline.parent, statically.parent) << "component " << c;
-      EXPECT_EQ(baseline.contributors, statically.contributors);
-      EXPECT_EQ(baseline_lookups, table.lookups()) << "component " << c;
+      EXPECT_EQ(expected.members, actual.members) << "component " << c;
+      EXPECT_EQ(expected.parent, actual.parent) << "component " << c;
+      EXPECT_EQ(expected.contributors, actual.contributors);
+      EXPECT_EQ(expected_lookups, table.lookups()) << "component " << c;
     }
   }
 }
@@ -272,19 +267,6 @@ TEST(DispatchEquivalence, CohortMatchesScalarEveryFamilyEveryRule) {
       }
     }
   }
-}
-
-TEST(DispatchEquivalence, CohortMatchesScalarUnderStopOnCertify) {
-  test::Instance inst("hypercube 6");
-  const unsigned delta = 4;
-  CertifiedPartition partition = find_certified_partition(
-      *inst.topo, inst.graph, delta, ParentRule::kSpread);
-  DiagnoserOptions options;
-  options.stop_probe_on_certify = true;
-  Diagnoser diagnoser(inst.graph, partition, options);
-  check_cohort_matches_scalar(diagnoser, inst.graph,
-                              make_cohort_syndromes(inst.graph, delta, 64),
-                              "hypercube 6/stop-on-certify");
 }
 
 TEST(DispatchEquivalence, MixedCertifiableAndUncertifiableCohort) {
@@ -389,11 +371,6 @@ TEST(DispatchEquivalence, ImplicitViewMatchesCsrEveryFamily) {
                              what + "/lazy");
         EXPECT_EQ(lazy.lookups(), ilazy.lookups()) << what;
 
-        // Devirtualized entry must route the implicit oracle type too.
-        expect_bit_identical(
-            expected, diagnose_devirtualized(imp_diagnoser, ilazy),
-            what + "/lazy-devirt");
-
         // Shared TableOracle: the very same oracle object through both
         // drivers — any positional drift between the views would misread
         // the table.
@@ -414,9 +391,6 @@ TEST(DispatchEquivalence, ImplicitDiagnoserRejectsCsrOnlyPaths) {
   CertifiedPartition partition =
       find_certified_partition(*inst.topo, iview, 3, ParentRule::kSpread);
   Diagnoser diagnoser(iview, partition, DiagnoserOptions{});
-  const ImplicitLazyOracle oracle(iview, FaultSet(iview.num_nodes(), {}),
-                                  FaultyBehavior::kRandom, 1);
-  EXPECT_THROW((void)diagnoser.diagnose_baseline(oracle), std::logic_error);
   const Syndrome syndrome = generate_syndrome(
       inst.graph, FaultSet(inst.graph.num_nodes(), {}),
       FaultyBehavior::kRandom, 1);
@@ -454,7 +428,7 @@ TEST(DispatchEquivalence, TransposedRowCacheServesIdenticalBlocks) {
   for (unsigned p = 0; p < inst.graph.degree(u); ++p) {
     for (unsigned lane = 0; lane < width; ++lane) {
       EXPECT_EQ((snapshot[p] >> lane) & 1,
-                (oracles[lane].row_bits(u, pivot) >> p) & 1)
+                (syndromes[lane].row_bits(u, pivot) >> p) & 1)
           << "p=" << p << " lane=" << lane;
     }
   }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -481,7 +482,15 @@ TEST(DiagnosisEngine, InvalidationRacingServeStaysBitIdentical) {
       (void)engine.invalidate_all();
     }
   });
-  for (int round = 0; round < 8; ++round) {
+  // A fixed number of rounds can finish before the invalidator thread is
+  // ever scheduled, so keep serving (at least 8 rounds) until an explicit
+  // eviction proves the two overlapped; the deadline only bounds a hang.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  int round = 0;
+  for (; round < 8 || (engine.counters().evictions_explicit == 0 &&
+                       std::chrono::steady_clock::now() < deadline);
+       ++round) {
     const std::vector<DiagnosisResult> results = engine.serve(requests);
     ASSERT_EQ(results.size(), requests.size());
     for (std::size_t i = 0; i < results.size(); ++i) {
@@ -490,7 +499,8 @@ TEST(DiagnosisEngine, InvalidationRacingServeStaysBitIdentical) {
   }
   stop.store(true);
   invalidator.join();
-  EXPECT_GT(engine.counters().evictions_explicit, 0u);
+  EXPECT_GT(engine.counters().evictions_explicit, 0u)
+      << "no explicit eviction after " << round << " serve rounds";
 }
 
 TEST(ParentRuleNames, RoundTripAndAliases) {

@@ -209,20 +209,6 @@ TEST(SetBuilder, LookupBoundFromSection6) {
   }
 }
 
-TEST(SetBuilder, StopOnCertifyStopsEarlyButSoundly) {
-  test::Instance inst("hypercube 8");
-  const FaultFreeOracle oracle(inst.graph);
-  SetBuilder eager(inst.graph, ParentRule::kSpread);
-  SetBuilder full(inst.graph, ParentRule::kSpread);
-  eager.set_stop_on_certify(true);
-  const auto re = eager.run(oracle, 0, 8);
-  const auto rf = full.run(oracle, 0, 8);
-  EXPECT_TRUE(re.all_healthy);
-  EXPECT_TRUE(rf.all_healthy);
-  EXPECT_LE(re.members.size(), rf.members.size());
-  EXPECT_EQ(rf.members.size(), inst.graph.num_nodes());
-}
-
 TEST(SetBuilder, IsolatedHealthySeedProducesSingleton) {
   // Surround a node by faults: no test can admit anyone into U.
   test::Instance inst("hypercube 5");
