@@ -3,24 +3,27 @@
 // BENCH_batch.json baseline every later scaling PR is judged against.
 //
 // Not a google-benchmark binary: the measured unit is a whole batch (the
-// production shape — BatchDiagnoser amortises one certified partition over
-// the lot), so the sweep drives BatchDiagnoser directly and reports
-// syndromes/second per (topology, threads) plus the speedup against the
-// same batch at one thread. Every threaded run is checked bit-identical to
-// the sequential Diagnoser before its row is recorded.
+// production shape — DiagnosisEngine::serve amortises one certified
+// partition over the lot), so the sweep serves each batch through a T-lane
+// engine and reports syndromes/second per (topology, threads) plus the
+// speedup against the same batch at one lane. Every threaded run is
+// checked bit-identical to the sequential Diagnoser before its row is
+// recorded. The sliced_vs_scalar rows race Diagnoser::diagnose_cohort
+// against a loop over Diagnoser::diagnose on one thread.
 //
 //   bench_batch [--smoke] [--out FILE] [--max-threads T]
 //
 // --smoke shrinks to tiny instances and {1,2} threads for CI (single
 // iteration, a few seconds); the JSON schema is identical to a full run.
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "core/batch_diagnoser.hpp"
-#include "engine/calibration.hpp"
+#include "core/diagnoser.hpp"
+#include "engine/engine.hpp"
 #include "mm/behavior.hpp"
 #include "mm/fault_set.hpp"
 #include "mm/syndrome.hpp"
@@ -71,7 +74,7 @@ Batch make_batch(const std::string& spec, std::size_t count, unsigned delta) {
 struct TableBatch {
   std::vector<Syndrome> syndromes;
   std::vector<TableOracle> oracles;
-  std::vector<const SyndromeOracle*> ptrs;
+  std::vector<const TableOracle*> ptrs;
 };
 
 /// The same deterministic workload materialised as syndrome tables — the
@@ -128,9 +131,20 @@ int run(bool smoke, const std::string& out_path, unsigned max_threads) {
                   JsonValue::num(std::thread::hardware_concurrency()));
 
   ExperimentTable::get().init(
-      "Batch diagnosis throughput (BatchDiagnoser vs sequential Diagnoser)",
+      "Batch diagnosis throughput (DiagnosisEngine::serve vs sequential "
+      "Diagnoser)",
       {"topology", "threads", "syndromes", "syn_per_sec", "speedup_vs_1t",
        "lookups", "identical"});
+
+  // One serving engine per lane count; its calibration cache keeps every
+  // spec resident, and each spec is calibrated before its batch is timed.
+  std::vector<std::unique_ptr<DiagnosisEngine>> engines;
+  for (const unsigned threads : thread_counts) {
+    EngineOptions options;
+    options.threads = threads;
+    options.cache_capacity = configs.size();
+    engines.push_back(std::make_unique<DiagnosisEngine>(options));
+  }
 
   bool all_identical = true;
   for (const SweepConfig& config : configs) {
@@ -147,20 +161,31 @@ int run(bool smoke, const std::string& out_path, unsigned max_threads) {
     }
     const double seq_seconds = seq_timer.seconds();
 
-    double one_thread_rate = 0;
-    for (const unsigned threads : thread_counts) {
-      // Engine-routed: the batch engine adopts the same cached calibration
-      // the sequential baseline runs on.
-      const auto batch_engine =
-          engine().make_batch_diagnoser(config.spec, threads);
-      const BatchResult result = batch_engine->diagnose_all(batch.ptrs);
+    std::vector<EngineRequest> requests;
+    requests.reserve(batch.ptrs.size());
+    for (const SyndromeOracle* oracle : batch.ptrs) {
+      requests.push_back(EngineRequest{config.spec, oracle});
+    }
 
-      const bool same = identical(truth, result.results);
+    double one_thread_rate = 0;
+    for (std::size_t t = 0; t < thread_counts.size(); ++t) {
+      const unsigned threads = thread_counts[t];
+      DiagnosisEngine& serving = *engines[t];
+      (void)serving.calibration(config.spec);  // setup stays untimed
+      Timer timer;
+      const std::vector<DiagnosisResult> results = serving.serve(requests);
+      const double seconds = timer.seconds();
+      std::uint64_t total_lookups = 0;
+      std::size_t succeeded = 0;
+      for (const DiagnosisResult& r : results) {
+        total_lookups += r.lookups;
+        succeeded += r.success ? 1 : 0;
+      }
+
+      const bool same = identical(truth, results);
       all_identical = all_identical && same;
       const double rate =
-          result.seconds > 0
-              ? static_cast<double>(result.results.size()) / result.seconds
-              : 0;
+          seconds > 0 ? static_cast<double>(results.size()) / seconds : 0;
       if (threads == 1) one_thread_rate = rate;
       const double speedup = one_thread_rate > 0 ? rate / one_thread_rate : 0;
 
@@ -168,52 +193,65 @@ int run(bool smoke, const std::string& out_path, unsigned max_threads) {
           {"topology", JsonValue::str(config.spec)},
           {"family", JsonValue::str(inst.topo->info().family)},
           {"nodes", JsonValue::num(inst.graph.num_nodes())},
-          {"delta", JsonValue::num(batch_engine->delta())},
-          {"syndromes", JsonValue::num(result.results.size())},
+          {"delta", JsonValue::num(seq.delta())},
+          {"syndromes", JsonValue::num(results.size())},
           {"threads", JsonValue::num(threads)},
-          {"seconds", JsonValue::num(result.seconds)},
+          {"seconds", JsonValue::num(seconds)},
           {"syndromes_per_sec", JsonValue::num(rate)},
           {"sequential_seconds", JsonValue::num(seq_seconds)},
-          {"total_lookups", JsonValue::num(result.total_lookups)},
-          {"succeeded", JsonValue::num(result.succeeded)},
+          {"total_lookups", JsonValue::num(total_lookups)},
+          {"succeeded", JsonValue::num(succeeded)},
           {"speedup_vs_1t", JsonValue::num(speedup)},
           {"identical_to_sequential", JsonValue::boolean(same)},
       });
       ExperimentTable::get().add_row(
           {config.spec, Table::num(std::uint64_t{threads}),
-           Table::num(std::uint64_t{result.results.size()}),
-           Table::num(rate, 1), Table::num(speedup, 2),
-           Table::num(result.total_lookups), same ? "yes" : "NO"});
+           Table::num(std::uint64_t{results.size()}), Table::num(rate, 1),
+           Table::num(speedup, 2), Table::num(total_lookups),
+           same ? "yes" : "NO"});
     }
 
-    // Bitsliced cohort solve vs the scalar static path: the identical
-    // workload materialised as TableOracles, one thread each so the ratio
-    // isolates the kernel (no pool effects). The syndrome count is floored
-    // at 128 so full 64-wide cohorts actually form even under --smoke.
+    // Bitsliced cohort solve vs the scalar path: the identical workload
+    // materialised as TableOracles, on one thread so the ratio isolates
+    // the kernel (no pool effects). Cohorts are consecutive runs of up to
+    // 64 syndromes. The syndrome count is floored at 128 so full 64-wide
+    // cohorts actually form even under --smoke.
     {
       const std::size_t count = std::max<std::size_t>(config.syndromes, 128);
       const TableBatch tbatch =
           make_table_batch(config.spec, count, seq.delta());
-      const auto cal = engine().calibration(config.spec);
-      BatchOptions opts;
-      opts.threads = 1;
-      opts.bitsliced = false;
-      BatchDiagnoser scalar_batch(graph_handle(cal), cal->partition, opts);
-      opts.bitsliced = true;
-      BatchDiagnoser sliced_batch(graph_handle(cal), cal->partition, opts);
 
-      const BatchResult scalar_res = scalar_batch.diagnose_all(tbatch.ptrs);
-      const BatchResult sliced_res = sliced_batch.diagnose_all(tbatch.ptrs);
-      const bool same = identical(scalar_res.results, sliced_res.results);
+      std::vector<DiagnosisResult> scalar_results(count);
+      Timer scalar_timer;
+      for (std::size_t i = 0; i < count; ++i) {
+        scalar_results[i] = seq.diagnose(*tbatch.ptrs[i]);
+      }
+      const double scalar_seconds = scalar_timer.seconds();
+
+      std::vector<DiagnosisResult> sliced_results;
+      sliced_results.reserve(count);
+      Timer sliced_timer;
+      for (std::size_t base = 0; base < count;
+           base += BitSlicedOracle::kMaxLanes) {
+        const std::size_t end =
+            std::min<std::size_t>(count, base + BitSlicedOracle::kMaxLanes);
+        const std::vector<const TableOracle*> cohort(
+            tbatch.ptrs.begin() + static_cast<std::ptrdiff_t>(base),
+            tbatch.ptrs.begin() + static_cast<std::ptrdiff_t>(end));
+        for (DiagnosisResult& r : seq.diagnose_cohort(cohort)) {
+          sliced_results.push_back(std::move(r));
+        }
+      }
+      const double sliced_seconds = sliced_timer.seconds();
+
+      const bool same = identical(scalar_results, sliced_results);
       all_identical = all_identical && same;
+      std::uint64_t sliced_lookups = 0;
+      for (const DiagnosisResult& r : sliced_results) sliced_lookups += r.lookups;
       const double scalar_rate =
-          scalar_res.seconds > 0 ? static_cast<double>(count) /
-                                       scalar_res.seconds
-                                 : 0;
+          scalar_seconds > 0 ? static_cast<double>(count) / scalar_seconds : 0;
       const double sliced_rate =
-          sliced_res.seconds > 0 ? static_cast<double>(count) /
-                                       sliced_res.seconds
-                                 : 0;
+          sliced_seconds > 0 ? static_cast<double>(count) / sliced_seconds : 0;
       const double ratio = scalar_rate > 0 ? sliced_rate / scalar_rate : 0;
 
       report.add_result({
@@ -225,18 +263,18 @@ int run(bool smoke, const std::string& out_path, unsigned max_threads) {
           {"syndromes", JsonValue::num(count)},
           {"threads", JsonValue::num(1)},
           {"cohort_width", JsonValue::num(BitSlicedOracle::kMaxLanes)},
-          {"scalar_seconds", JsonValue::num(scalar_res.seconds)},
-          {"sliced_seconds", JsonValue::num(sliced_res.seconds)},
+          {"scalar_seconds", JsonValue::num(scalar_seconds)},
+          {"sliced_seconds", JsonValue::num(sliced_seconds)},
           {"scalar_syndromes_per_sec", JsonValue::num(scalar_rate)},
           {"syndromes_per_sec", JsonValue::num(sliced_rate)},
           {"sliced_vs_scalar", JsonValue::num(ratio)},
-          {"total_lookups", JsonValue::num(sliced_res.total_lookups)},
+          {"total_lookups", JsonValue::num(sliced_lookups)},
           {"identical_to_sequential", JsonValue::boolean(same)},
       });
       ExperimentTable::get().add_row(
           {config.spec + " [sliced]", Table::num(std::uint64_t{1}),
            Table::num(std::uint64_t{count}), Table::num(sliced_rate, 1),
-           Table::num(ratio, 2), Table::num(sliced_res.total_lookups),
+           Table::num(ratio, 2), Table::num(sliced_lookups),
            same ? "yes" : "NO"});
     }
   }

@@ -23,11 +23,12 @@
 //       sharded engine requires.
 //
 //   mmdiag_cli diagnose --batch <dir> [--threads N]
-//       Load every syndrome file in <dir> (anything not ending in .truth),
-//       group the files by canonical topology spec, and diagnose each group
-//       in parallel with an engine-backed BatchDiagnoser — the certified
-//       partition is built once per topology and shared by all N worker
-//       threads.
+//       Load every syndrome file in <dir> (anything not ending in .truth)
+//       through the same loader as serve --requests, group the files by
+//       canonical topology spec, and diagnose each group with one
+//       DiagnosisEngine::serve call over N lanes — the certified partition
+//       is built once per topology and shared by every lane, and full runs
+//       of 64 same-spec syndromes are solved as one bitsliced cohort.
 //
 //   mmdiag_cli serve --requests <file> [--threads N] [--cache-capacity C]
 //       Mixed-spec request-stream mode: <file> lists one syndrome-file
@@ -78,7 +79,6 @@
 
 #include "churn/churn_stream.hpp"
 #include "churn/harness.hpp"
-#include "core/batch_diagnoser.hpp"
 #include "core/certified_partition.hpp"
 #include "core/diagnoser.hpp"
 #include "core/verifier.hpp"
@@ -277,6 +277,53 @@ class PinnedResolver {
   std::vector<std::shared_ptr<const Calibration>> keep_alive_;
 };
 
+/// A request stream loaded from syndrome files: each file parsed against
+/// the engine's cached graph, one TableOracle over it, and one
+/// EngineRequest pointing at that oracle. The vectors are filled once and
+/// never grow afterwards, so the pointers stay valid.
+struct LoadedRequests {
+  std::vector<ParsedSyndrome> syndromes;
+  std::vector<TableOracle> oracles;
+  std::vector<EngineRequest> requests;
+};
+
+/// Loads `files` in order through `resolve`, so each distinct spec
+/// calibrates on first touch and every later file reuses the pinned
+/// bundle. Prints the error and returns false on an unreadable or
+/// malformed file.
+bool load_requests(const std::vector<std::filesystem::path>& files,
+                   PinnedResolver& resolve, LoadedRequests& out) {
+  out.syndromes.reserve(files.size());
+  out.oracles.reserve(files.size());
+  out.requests.reserve(files.size());
+  for (const std::filesystem::path& file : files) {
+    std::ifstream in(file);
+    if (!in) {
+      std::cerr << "cannot read " << file.string() << "\n";
+      return false;
+    }
+    try {
+      out.syndromes.push_back(read_syndrome(in, std::ref(resolve)));
+    } catch (const std::exception& e) {
+      std::cerr << file.string() << ": " << e.what() << "\n";
+      return false;
+    }
+    const std::string& spec = out.syndromes.back().spec;
+    // The bundle is already pinned from the parse above; touching the
+    // engine again here would only inflate the cache counters the callers
+    // report.
+    const auto cal = resolve.pinned(resolve.canonical(spec));
+    if (!cal) {
+      std::cerr << "internal error: no calibration pinned for " << spec
+                << "\n";
+      return false;
+    }
+    out.oracles.emplace_back(cal->graph, out.syndromes.back().syndrome);
+    out.requests.push_back(EngineRequest{spec, &out.oracles.back()});
+  }
+  return true;
+}
+
 int cmd_diagnose_batch(const std::string& dir, unsigned threads) {
   namespace fs = std::filesystem;
   if (!fs::is_directory(dir)) {
@@ -300,65 +347,43 @@ int cmd_diagnose_batch(const std::string& dir, unsigned threads) {
 
   // The engine owns the per-topology setup; syndromes are parsed directly
   // against its cached graphs (no per-file topology+graph build), grouped
-  // by canonical spec, and each group fans out over one BatchDiagnoser.
+  // by canonical spec, and each group goes through one serve() call over
+  // the engine's lanes.
   EngineOptions engine_options;
-  engine_options.threads = 1;  // BatchDiagnoser brings its own pool
+  engine_options.threads = threads;
+  // Room for every distinct spec, so each one calibrates exactly once.
+  engine_options.cache_capacity = files.size();
   // Syndrome files address rows through the materialised CSR layout.
   engine_options.graph_mode = GraphMode::kCsr;
   DiagnosisEngine engine(engine_options);
   PinnedResolver resolve(engine);
+  LoadedRequests loaded;
+  if (!load_requests(files, resolve, loaded)) return 2;
 
   std::map<std::string, std::vector<std::size_t>> by_spec;
-  std::vector<ParsedSyndrome> loaded;
-  loaded.reserve(files.size());
-  for (std::size_t i = 0; i < files.size(); ++i) {
-    std::ifstream in(files[i]);
-    if (!in) {
-      std::cerr << "cannot read " << files[i].string() << "\n";
-      return 2;
-    }
-    try {
-      loaded.push_back(read_syndrome(in, std::ref(resolve)));
-      by_spec[resolve.canonical(loaded.back().spec)].push_back(i);
-    } catch (const std::exception& e) {
-      std::cerr << files[i].string() << ": " << e.what() << "\n";
-      return 2;
-    }
+  for (std::size_t i = 0; i < loaded.requests.size(); ++i) {
+    by_spec[resolve.canonical(loaded.requests[i].spec)].push_back(i);
   }
 
   int exit_code = 0;
   std::size_t total_ok = 0;
   Timer timer;
   for (const auto& [spec, indices] : by_spec) {
-    // Reuse the ingest-pinned bundle directly: with more distinct specs
-    // than cache capacity, asking the engine again would rebuild evicted
-    // calibrations for no reason.
-    const std::shared_ptr<const Calibration> cal = resolve.pinned(spec);
-    if (!cal) {
-      std::cerr << "internal error: no calibration pinned for " << spec
-                << "\n";
-      return 2;
-    }
-    BatchOptions batch_options;
-    batch_options.threads = threads;
-    const auto batch_engine = std::make_unique<BatchDiagnoser>(
-        graph_handle(cal), cal->partition, batch_options);
+    std::vector<EngineRequest> group;
+    group.reserve(indices.size());
+    for (const std::size_t i : indices) group.push_back(loaded.requests[i]);
 
-    std::vector<TableOracle> oracles;
-    oracles.reserve(indices.size());
-    for (const std::size_t i : indices) {
-      oracles.emplace_back(cal->graph, loaded[i].syndrome);
-    }
-    std::vector<const SyndromeOracle*> ptrs;
-    ptrs.reserve(oracles.size());
-    for (const TableOracle& o : oracles) ptrs.push_back(&o);
-
-    const BatchResult batch = batch_engine->diagnose_all(ptrs);
+    Timer group_timer;
+    const std::vector<DiagnosisResult> results = engine.serve(group);
+    const double seconds = group_timer.seconds();
+    const auto succeeded = std::count_if(
+        results.begin(), results.end(),
+        [](const DiagnosisResult& r) { return r.success; });
     std::cout << spec << ": " << indices.size() << " syndrome(s), "
-              << batch_engine->threads() << " thread(s), " << batch.succeeded
-              << " diagnosed in " << batch.seconds * 1e3 << " ms\n";
+              << engine.threads() << " thread(s), " << succeeded
+              << " diagnosed in " << seconds * 1e3 << " ms\n";
     for (std::size_t k = 0; k < indices.size(); ++k) {
-      const DiagnosisResult& r = batch.results[k];
+      const DiagnosisResult& r = results[k];
       std::cout << "  " << files[indices[k]].filename().string() << ": ";
       if (!r.success) {
         std::cout << "FAILED (" << r.failure_reason << ")\n";
@@ -616,37 +641,9 @@ int cmd_serve(const std::vector<std::string>& args) {
   // serve phase itself (a "cold" request there means the LRU had to
   // rebuild an evicted calibration mid-stream).
   Timer ingest_timer;
-  std::vector<ParsedSyndrome> loaded;
-  loaded.reserve(files.size());
-  std::vector<TableOracle> oracles;
-  oracles.reserve(files.size());
-  std::vector<EngineRequest> requests;
-  requests.reserve(files.size());
-  for (const fs::path& file : files) {
-    std::ifstream in(file);
-    if (!in) {
-      std::cerr << "cannot read " << file.string() << "\n";
-      return 2;
-    }
-    try {
-      loaded.push_back(read_syndrome(in, std::ref(resolve)));
-    } catch (const std::exception& e) {
-      std::cerr << file.string() << ": " << e.what() << "\n";
-      return 2;
-    }
-    const std::string spec = loaded.back().spec;
-    // The bundle is already pinned from the parse above; touching the
-    // engine again here would only inflate the cache counters the summary
-    // reports.
-    const auto cal = resolve.pinned(resolve.canonical(spec));
-    if (!cal) {
-      std::cerr << "internal error: no calibration pinned for " << spec
-                << "\n";
-      return 2;
-    }
-    oracles.emplace_back(cal->graph, loaded.back().syndrome);
-    requests.push_back(EngineRequest{spec, &oracles.back()});
-  }
+  LoadedRequests loaded;
+  if (!load_requests(files, resolve, loaded)) return 2;
+  const std::vector<EngineRequest>& requests = loaded.requests;
   const EngineCounters ingested = engine.counters();
   std::cout << "ingest: " << files.size() << " request(s), "
             << ingested.misses << " calibration(s) built in "

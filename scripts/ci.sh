@@ -3,8 +3,9 @@
 #   cmake -B build -S . && cmake --build build -j && cd build && ctest --output-on-failure -j
 # followed by a bench smoke (bench_batch on tiny instances must emit a
 # BENCH_batch.json that parses as JSON), an engine-cache smoke, the JSON
-# bench smokes (none needs google-benchmark), a UBSan pass, a Release
-# (-O3, -Werror) build and ctest of every target, and a fuzz smoke: 200
+# bench smokes (none needs google-benchmark), a UBSan pass, an ASan ctest
+# pass over every suite, a TSan pass over the multi-threaded suites, a
+# Release (-O3, -Werror) build and ctest of every target, and a fuzz smoke: 200
 # deterministic differential cases of the §5 driver against the exact
 # solver. A fuzz divergence exits non-zero and
 # leaves minimized repro files in build/fuzz-repros/ (uploaded as a CI
@@ -241,8 +242,8 @@ fi
 if command -v python3 >/dev/null; then
   python3 - <<'PY'
 import json
-for name in ("BENCH_scale.json", "BENCH_models.json", "BENCH_shard.json",
-              "BENCH_churn.json"):
+for name in ("BENCH_batch.json", "BENCH_engine.json", "BENCH_scale.json",
+             "BENCH_models.json", "BENCH_shard.json", "BENCH_churn.json"):
     try:
         with open(name) as f:
             report = json.load(f)
@@ -281,6 +282,35 @@ cmake --build build-ubsan -j --target util_test syndrome_test \
 ./build-ubsan/tests/churn_test
 echo "ubsan smoke: word-level kernel, directed-model, shard and churn" \
      "suites clean under -fsanitize=undefined"
+
+# ASan over every suite: ctest of the whole tier-1 set (examples off, so the
+# CLI-driven corpus and batch cases stay with the main build) must run
+# clean under -fsanitize=address, leak checking included.
+cmake -B build-asan -S . \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS="-fsanitize=address -fno-omit-frame-pointer" \
+  -DMMDIAG_BUILD_EXAMPLES=OFF -DMMDIAG_BUILD_BENCH=OFF \
+  "$@"
+cmake --build build-asan -j
+(cd build-asan && ctest --output-on-failure -j)
+echo "asan smoke: every suite clean under -fsanitize=address"
+
+# TSan over the suites that share state across threads: serve() lanes and
+# the calibration cache (engine_test, batch_test), the sharded engine's
+# pool fan-out (shard_test) and churn racing in-flight serves (churn_test).
+cmake -B build-tsan -S . \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
+  -DMMDIAG_BUILD_EXAMPLES=OFF -DMMDIAG_BUILD_BENCH=OFF \
+  "$@"
+cmake --build build-tsan -j --target engine_test batch_test shard_test \
+  churn_test
+./build-tsan/tests/engine_test
+./build-tsan/tests/batch_test
+./build-tsan/tests/shard_test
+./build-tsan/tests/churn_test
+echo "tsan smoke: engine, batch, shard and churn suites clean under" \
+     "-fsanitize=thread"
 
 # Release build of every target: -O3 enables optimiser-driven warnings
 # (GCC's -Wrestrict, -Wstringop-*) that the default RelWithDebInfo -O2

@@ -76,6 +76,21 @@ DiagnosisResult run_directed(DirectedDiagnoser& driver, const Graph& graph,
   return out;
 }
 
+/// Why serve() must refuse a request outright, or null when it is well
+/// formed.
+const char* malformed(const EngineRequest& request) {
+  if (request.oracle != nullptr && request.directed != nullptr) {
+    return "request carries both an MM* and a directed oracle";
+  }
+  if (request.oracle == nullptr && request.directed == nullptr) {
+    return "null oracle in request";
+  }
+  if (request.local_node != kNoNode && request.directed == nullptr) {
+    return "local_node is set but the request has no directed oracle";
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 DiagnosisEngine::DiagnosisEngine(EngineOptions options)
@@ -289,66 +304,50 @@ std::vector<DiagnosisResult> DiagnosisEngine::serve(
   // get_or_build still runs once per *request*, so cache hit/miss counters
   // and per-request calibration_reused semantics are exactly the scalar
   // path's. Per-syndrome results and look-up counts are bit-identical
-  // either way.
+  // either way. Malformed requests fail here, before any cohort forms, so
+  // only well-formed MM* requests can join one.
   std::vector<std::vector<std::size_t>> cohorts;
   std::vector<std::size_t> scalar_idx;
   {
+    std::vector<char> claimed(requests.size(), 0);
     std::unordered_map<std::string, std::vector<std::size_t>> by_spec;
     for (std::size_t i = 0; i < requests.size(); ++i) {
       const EngineRequest& rq = requests[i];
+      if (const char* why = malformed(rq)) {
+        results[i].failure_reason = why;
+        claimed[i] = 1;
+        continue;
+      }
       if (rq.oracle != nullptr && rq.oracle->has_graph() &&
           dynamic_cast<const TableOracle*>(rq.oracle) != nullptr &&
           rq.oracle->graph().max_degree() <= 64) {
         by_spec[rq.spec].push_back(i);
       }
     }
-    std::vector<char> in_cohort(requests.size(), 0);
     for (auto& [spec, idx] : by_spec) {
       for (std::size_t k = 0; k + BitSlicedOracle::kMaxLanes <= idx.size();
            k += BitSlicedOracle::kMaxLanes) {
         cohorts.emplace_back(idx.begin() + k,
                              idx.begin() + k + BitSlicedOracle::kMaxLanes);
-        for (const std::size_t i : cohorts.back()) in_cohort[i] = 1;
+        for (const std::size_t i : cohorts.back()) claimed[i] = 1;
       }
     }
     for (std::size_t i = 0; i < requests.size(); ++i) {
-      if (in_cohort[i] == 0) scalar_idx.push_back(i);
+      if (claimed[i] == 0) scalar_idx.push_back(i);
     }
   }
 
-  // Lane-local Diagnoser per calibration: scratch (frontiers, stamp sets)
-  // is reused across the stream without crossing threads. Stale entries
-  // for evicted calibrations can never be looked up again (the pointer
+  // Lane-local driver per calibration — a Diagnoser for MM* bundles, a
+  // DirectedDiagnoser for directed ones (the model is in the cache key, so
+  // one calibration is never both): scratch (frontiers, stamp sets) is
+  // reused across the stream without crossing threads. Stale entries for
+  // evicted calibrations can never be looked up again (the pointer
   // differs), so on overflow those are pruned first — keeping total pinned
   // memory proportional to the cache capacity, not to threads x capacity —
   // and only if every entry is still resident is the map cleared outright.
-  auto lane_diagnoser =
+  auto lane_entry =
       [&](unsigned lane,
-          const std::shared_ptr<const Calibration>& cal) -> Diagnoser& {
-    auto& scratch = lane_scratch_[lane];
-    auto it = scratch.find(cal.get());
-    if (it == scratch.end()) {
-      if (scratch.size() >= capacity_) {
-        prune_stale(scratch);
-        if (scratch.size() >= capacity_) scratch.clear();
-      }
-      it = scratch
-               .emplace(cal.get(),
-                        LaneDiagnoser{cal,
-                                      make_calibrated_diagnoser(
-                                          cal, options_.diagnoser),
-                                      nullptr})
-               .first;
-    }
-    return *it->second.diagnoser;
-  };
-
-  // The directed counterpart: one DirectedDiagnoser per directed
-  // calibration per lane. Model-tagged keys mean a calibration is MM* or
-  // directed, never both, so the two scratch kinds never collide on a key.
-  auto lane_directed =
-      [&](unsigned lane,
-          const std::shared_ptr<const Calibration>& cal) -> DirectedDiagnoser& {
+          const std::shared_ptr<const Calibration>& cal) -> LaneDiagnoser& {
     auto& scratch = lane_scratch_[lane];
     auto it = scratch.find(cal.get());
     if (it == scratch.end()) {
@@ -358,11 +357,15 @@ std::vector<DiagnosisResult> DiagnosisEngine::serve(
       }
       LaneDiagnoser entry;
       entry.calibration = cal;
-      entry.directed =
-          std::make_unique<DirectedDiagnoser>(cal->graph, cal->delta());
+      if (cal->is_directed()) {
+        entry.directed =
+            std::make_unique<DirectedDiagnoser>(cal->graph, cal->delta());
+      } else {
+        entry.diagnoser = make_calibrated_diagnoser(cal, options_.diagnoser);
+      }
       it = scratch.emplace(cal.get(), std::move(entry)).first;
     }
-    return *it->second.directed;
+    return it->second;
   };
 
   pool_.parallel_for(
@@ -383,7 +386,7 @@ std::vector<DiagnosisResult> DiagnosisEngine::serve(
                                  DiagnosisModel::kMMStar, &r);
               reused[k] = r;
             }
-            Diagnoser& diagnoser = lane_diagnoser(lane, cal);
+            Diagnoser& diagnoser = *lane_entry(lane, cal).diagnoser;
             const double setup_seconds = setup_timer.seconds();
             if (cal->is_implicit()) {
               // Cohorts bitslice through CSR row layout; an implicit
@@ -423,20 +426,6 @@ std::vector<DiagnosisResult> DiagnosisEngine::serve(
         const std::size_t i = scalar_idx[item - cohorts.size()];
         const EngineRequest& request = requests[i];
         DiagnosisResult& out = results[i];
-        if (request.oracle != nullptr && request.directed != nullptr) {
-          out.failure_reason =
-              "request carries both an MM* and a directed oracle";
-          return;
-        }
-        if (request.oracle == nullptr && request.directed == nullptr) {
-          out.failure_reason = "null oracle in request";
-          return;
-        }
-        if (request.local_node != kNoNode && request.directed == nullptr) {
-          out.failure_reason =
-              "local_node is set but the request has no directed oracle";
-          return;
-        }
         try {
           const Timer setup_timer;
           bool reused = false;
@@ -446,7 +435,7 @@ std::vector<DiagnosisResult> DiagnosisEngine::serve(
                 options_.diagnoser.rule,
                 options_.diagnoser.validate_all_components,
                 request.directed->model(), &reused);
-            DirectedDiagnoser& driver = lane_directed(lane, cal);
+            DirectedDiagnoser& driver = *lane_entry(lane, cal).directed;
             const double setup_seconds = setup_timer.seconds();
             out = run_directed(driver, cal->graph, *request.directed,
                                request.local_node);
@@ -458,7 +447,7 @@ std::vector<DiagnosisResult> DiagnosisEngine::serve(
               request.spec, options_.diagnoser.delta, options_.diagnoser.rule,
               options_.diagnoser.validate_all_components,
               DiagnosisModel::kMMStar, &reused);
-          Diagnoser& diagnoser = lane_diagnoser(lane, cal);
+          Diagnoser& diagnoser = *lane_entry(lane, cal).diagnoser;
           const double setup_seconds = setup_timer.seconds();
           out = diagnoser.diagnose(*request.oracle);
           out.calibration_reused = reused;
@@ -484,22 +473,6 @@ std::unique_ptr<Diagnoser> DiagnosisEngine::make_diagnoser(
       diagnoser_options.validate_all_components, DiagnosisModel::kMMStar,
       nullptr);
   return make_calibrated_diagnoser(cal, diagnoser_options);
-}
-
-std::unique_ptr<BatchDiagnoser> DiagnosisEngine::make_batch_diagnoser(
-    const std::string& spec, unsigned threads) {
-  const std::shared_ptr<const Calibration> cal = calibration(spec);
-  if (cal->is_implicit()) {
-    throw std::invalid_argument(
-        "make_batch_diagnoser: batch lanes bitslice through CSR syndrome "
-        "rows; use EngineOptions::graph_mode = GraphMode::kCsr for '" +
-        spec + "'");
-  }
-  BatchOptions batch;
-  batch.threads = threads;
-  batch.diagnoser = options_.diagnoser;
-  return std::make_unique<BatchDiagnoser>(graph_handle(cal), cal->partition,
-                                          batch);
 }
 
 void DiagnosisEngine::prune_stale(

@@ -16,14 +16,17 @@
 //     bundle), while misses on different keys calibrate in parallel;
 //   - eviction safety by construction: entries are shared_ptr, so a bundle
 //     evicted mid-flight stays alive for every Diagnoser still holding it;
-//   - serve(): a mixed-spec request stream fanned over the PR 2 ThreadPool,
-//     with per-lane Diagnoser scratch reuse and per-request setup/solve
-//     accounting (DiagnosisResult::calibration_reused / setup_seconds).
+//   - serve(): the one batch path. A mixed-spec request stream fanned over
+//     the engine's ThreadPool, with same-spec materialised syndromes solved
+//     in bitsliced 64-wide cohorts, per-lane Diagnoser scratch reuse and
+//     per-request setup/solve accounting
+//     (DiagnosisResult::calibration_reused / setup_seconds).
 //
-// Results are bit-identical to constructing Diagnoser/BatchDiagnoser
-// directly: the engine only decides *where* the calibration lives, never
-// what the solver computes (asserted across all registry families by
-// tests/engine_test.cpp).
+// Results are bit-identical to constructing a Diagnoser directly and
+// running it on each syndrome in turn: the engine only decides *where* the
+// calibration lives and which lane solves a request, never what the solver
+// computes (asserted across all registry families by tests/engine_test.cpp
+// and, for cohorts and lane counts, by tests/batch_test.cpp).
 #pragma once
 
 #include <array>
@@ -35,7 +38,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/batch_diagnoser.hpp"
 #include "core/diagnoser.hpp"
 #include "core/directed_diagnoser.hpp"
 #include "engine/calibration.hpp"
@@ -153,10 +155,13 @@ class DiagnosisEngine {
 
   /// Diagnose a mixed-spec request stream over the engine's ThreadPool,
   /// reusing per-lane Diagnoser scratch per calibration. requests[i] ->
-  /// results[i]. Per-request failures (unknown spec, uncertifiable bound)
-  /// become failed results, never exceptions — one bad request must not
-  /// poison a stream. Serialised: concurrent serve() calls run one at a
-  /// time (each already uses every pool lane).
+  /// results[i]. Every full 64-wide run of same-spec TableOracle requests
+  /// (degree <= 64, CSR calibration) is solved as one bitsliced cohort;
+  /// results are bit-identical to the scalar path either way.
+  /// Per-request failures (malformed request, unknown spec, uncertifiable
+  /// bound) become failed results, never exceptions — one bad request must
+  /// not poison a stream. Serialised: concurrent serve() calls run one at
+  /// a time (each already uses every pool lane).
   [[nodiscard]] std::vector<DiagnosisResult> serve(
       const std::vector<EngineRequest>& requests);
 
@@ -170,10 +175,6 @@ class DiagnosisEngine {
   /// so the pair can never mismatch.
   [[nodiscard]] std::unique_ptr<Diagnoser> make_diagnoser(
       const std::string& spec, const DiagnoserOptions& diagnoser_options);
-
-  /// Same for a whole BatchDiagnoser (threads = 0 means hardware).
-  [[nodiscard]] std::unique_ptr<BatchDiagnoser> make_batch_diagnoser(
-      const std::string& spec, unsigned threads = 0);
 
   /// Explicitly retire every cached calibration of `spec` (all delta/rule/
   /// model variants — the key stem is the canonical spec). Returns how many

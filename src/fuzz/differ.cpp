@@ -9,7 +9,6 @@
 #include "baselines/reference_driver.hpp"
 #include "churn/churn_stream.hpp"
 #include "churn/harness.hpp"
-#include "core/batch_diagnoser.hpp"
 #include "core/diagnoser.hpp"
 #include "core/directed_diagnoser.hpp"
 #include "core/verifier.hpp"
@@ -316,6 +315,17 @@ EngineOptions FuzzContext::engine_options() {
 
 FuzzContext::FuzzContext() : engine_(engine_options()) {}
 
+DiagnosisEngine& FuzzContext::serve_engine(unsigned delta) {
+  std::unique_ptr<DiagnosisEngine>& engine = serve_engines_[delta];
+  if (!engine) {
+    EngineOptions options = engine_options();
+    options.threads = 3;
+    options.diagnoser.delta = delta;
+    engine = std::make_unique<DiagnosisEngine>(options);
+  }
+  return *engine;
+}
+
 const FuzzSetup& FuzzContext::setup(const std::string& spec, unsigned delta) {
   const auto key = std::make_pair(spec, delta);
   const auto it = cache_.find(key);
@@ -478,35 +488,25 @@ DiffReport run_differential(FuzzContext& ctx, const FuzzCase& c,
     }
   }
 
-  // Batch: the same case over 3 worker lanes must be bit-identical to the
-  // sequential reference in every accounted dimension.
+  // Serve: the same case as three requests on a 3-lane engine at the
+  // case's delta must be bit-identical to the sequential reference in every
+  // accounted dimension.
   if (reference) {
     try {
-      BatchOptions batch_options;
-      batch_options.threads = 3;
-      batch_options.diagnoser = spread_options;
-      BatchDiagnoser engine(s.graph(), s.spread->partition, batch_options);
       const LazyOracle o0(s.graph(), faults, c.behavior, c.behavior_seed);
       const LazyOracle o1(s.graph(), faults, c.behavior, c.behavior_seed);
       const LazyOracle o2(s.graph(), faults, c.behavior, c.behavior_seed);
-      const BatchResult batch = engine.diagnose_all({&o0, &o1, &o2});
-      for (std::size_t i = 0; i < batch.results.size(); ++i) {
-        const DiagnosisResult& r = batch.results[i];
-        if (r.success != reference->success || r.faults != reference->faults ||
-            r.lookups != reference->lookups || r.probes != reference->probes ||
-            r.certified_component != reference->certified_component) {
-          report.divergences.push_back(
-              {"batch-3lane",
-               "lane result " + std::to_string(i) +
-                   " not bit-identical to the sequential run (faults " +
-                   join_nodes(r.faults) + " vs " +
-                   join_nodes(reference->faults) + ")"});
-          break;
-        }
+      const std::vector<DiagnosisResult> served =
+          ctx.serve_engine(c.delta).serve(
+              {{c.spec, &o0}, {c.spec, &o1}, {c.spec, &o2}});
+      for (const DiagnosisResult& r : served) {
+        const std::size_t before = report.divergences.size();
+        check_bit_identical(report, "serve-3lane", *reference, r);
+        if (report.divergences.size() != before) break;  // one per case
       }
     } catch (const std::exception& e) {
       report.divergences.push_back(
-          {"batch-3lane", std::string("batch engine threw: ") + e.what()});
+          {"serve-3lane", std::string("engine threw: ") + e.what()});
     }
   }
 

@@ -5,8 +5,8 @@
 // ground truth, and every driver configuration the library ships — both
 // probe parent rules, the hot path and the seed reference implementation
 // (which must be bit-identical down to the look-up counts), and
-// BatchDiagnoser fanning the same case over >1 worker lane — must agree
-// with it exactly:
+// DiagnosisEngine::serve fanning the same case over 3 worker lanes — must
+// agree with it exactly:
 //
 //   |F| <= delta  — every configuration must succeed and return F (the
 //                   paper's worst-case guarantee, which calibration plus
@@ -20,8 +20,9 @@
 //                   the "never mis-report success" invariant is checked at
 //                   the layer that owns it: diagnose_and_verify, which must
 //                   downgrade every inconsistent success to failure;
-//   batch lanes   — bit-identical (faults, lookups, probes, component) to
-//                   the sequential run of the same options.
+//   serve lanes   — bit-identical (faults, failure string, lookups,
+//                   probes, component, members, rounds) to the sequential
+//                   run of the same options.
 //
 // Sabotage modes deliberately break the driver under test so the fuzzer's
 // find -> minimize -> repro pipeline can itself be tested (and so a repro
@@ -68,6 +69,10 @@ class FuzzContext {
 
   [[nodiscard]] DiagnosisEngine& engine() noexcept { return engine_; }
 
+  /// A 3-lane engine serving at `delta` (serve() takes its fault bound from
+  /// the engine options, so each bound gets its own), built on first use.
+  DiagnosisEngine& serve_engine(unsigned delta);
+
  private:
   static EngineOptions engine_options();
 
@@ -77,6 +82,7 @@ class FuzzContext {
   /// uncertifiable" answer.
   DiagnosisEngine engine_;
   std::map<std::pair<std::string, unsigned>, FuzzSetup> cache_;
+  std::map<unsigned, std::unique_ptr<DiagnosisEngine>> serve_engines_;
 };
 
 enum class Sabotage : std::uint8_t {

@@ -1,15 +1,16 @@
-// BatchDiagnoser: thread-pool correctness and bit-identical equivalence
-// with the sequential Diagnoser across topology families, batch sizes, and
-// thread counts.
+// The batch path, DiagnosisEngine::serve: thread-pool correctness and
+// bit-identical equivalence with the sequential Diagnoser across topology
+// families, batch sizes, bitsliced cohort widths and lane counts.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
-#include "core/batch_diagnoser.hpp"
 #include "core/diagnoser.hpp"
+#include "engine/engine.hpp"
 #include "mm/injector.hpp"
 #include "test_util.hpp"
 #include "util/rng.hpp"
@@ -139,13 +140,32 @@ void expect_equivalent(const DiagnosisResult& seq, const DiagnosisResult& bat,
                        std::size_t item) {
   ASSERT_EQ(seq.success, bat.success) << "item " << item;
   ASSERT_EQ(seq.faults, bat.faults) << "item " << item;
+  ASSERT_EQ(seq.failure_reason, bat.failure_reason) << "item " << item;
   ASSERT_EQ(seq.lookups, bat.lookups) << "item " << item;
   ASSERT_EQ(seq.probes, bat.probes) << "item " << item;
   ASSERT_EQ(seq.certified_component, bat.certified_component)
       << "item " << item;
 }
 
-TEST(BatchDiagnoser, BitIdenticalToSequentialAcrossFamilies) {
+/// Every oracle as one request for `spec`, served by `engine`.
+std::vector<DiagnosisResult> serve_all(
+    DiagnosisEngine& engine, const std::string& spec,
+    const std::vector<const SyndromeOracle*>& oracles) {
+  std::vector<EngineRequest> requests;
+  requests.reserve(oracles.size());
+  for (const SyndromeOracle* oracle : oracles) {
+    requests.push_back(EngineRequest{spec, oracle});
+  }
+  return engine.serve(requests);
+}
+
+EngineOptions lanes(unsigned threads) {
+  EngineOptions options;
+  options.threads = threads;
+  return options;
+}
+
+TEST(ServeBatch, BitIdenticalToSequentialAcrossFamilies) {
   for (const char* spec : {"hypercube 7", "star 5", "kary_ncube 4 4"}) {
     SCOPED_TRACE(spec);
     test::Instance inst(spec);
@@ -159,91 +179,37 @@ TEST(BatchDiagnoser, BitIdenticalToSequentialAcrossFamilies) {
 
     for (const unsigned threads : {1u, 4u}) {
       SCOPED_TRACE(threads);
-      BatchOptions options;
-      options.threads = threads;
-      BatchDiagnoser engine(*inst.topo, inst.graph, options);
+      DiagnosisEngine engine(lanes(threads));
       EXPECT_EQ(engine.threads(), threads);
-      EXPECT_EQ(engine.delta(), sequential.delta());
-      const BatchResult result = engine.diagnose_all(batch.ptrs);
-      ASSERT_EQ(result.results.size(), batch.ptrs.size());
-      std::uint64_t lookups = 0;
-      std::size_t succeeded = 0;
+      EXPECT_EQ(engine.calibration(spec)->delta(), sequential.delta());
+      const std::vector<DiagnosisResult> served =
+          serve_all(engine, spec, batch.ptrs);
+      ASSERT_EQ(served.size(), batch.ptrs.size());
       for (std::size_t i = 0; i < truth.size(); ++i) {
-        expect_equivalent(truth[i], result.results[i], i);
-        lookups += truth[i].lookups;
-        succeeded += truth[i].success ? 1 : 0;
+        expect_equivalent(truth[i], served[i], i);
       }
-      EXPECT_EQ(result.total_lookups, lookups);
-      EXPECT_EQ(result.succeeded, succeeded);
     }
   }
 }
 
-TEST(BatchDiagnoser, EmptyAndSingletonBatches) {
+TEST(ServeBatch, EmptyAndSingletonBatches) {
   test::Instance inst("hypercube 7");
-  BatchOptions options;
-  options.threads = 3;
-  BatchDiagnoser engine(*inst.topo, inst.graph, options);
-
-  const BatchResult empty = engine.diagnose_all(
-      std::vector<const SyndromeOracle*>{});
-  EXPECT_TRUE(empty.results.empty());
-  EXPECT_EQ(empty.succeeded, 0u);
-  EXPECT_EQ(empty.total_lookups, 0u);
+  DiagnosisEngine engine(lanes(3));
+  EXPECT_TRUE(engine.serve({}).empty());
 
   Rng rng(7);
   const FaultSet faults(inst.graph.num_nodes(),
                         inject_uniform(inst.graph.num_nodes(), 3, rng));
   const LazyOracle oracle(inst.graph, faults, FaultyBehavior::kRandom, 1);
-  const BatchResult one = engine.diagnose_all({&oracle});
-  ASSERT_EQ(one.results.size(), 1u);
-  ASSERT_TRUE(one.results[0].success) << one.results[0].failure_reason;
-  EXPECT_EQ(test::sorted(one.results[0].faults), test::sorted(faults.nodes()));
-  EXPECT_EQ(one.succeeded, 1u);
-  EXPECT_GT(one.total_lookups, 0u);
+  const std::vector<DiagnosisResult> one =
+      serve_all(engine, "hypercube 7", {&oracle});
+  ASSERT_EQ(one.size(), 1u);
+  ASSERT_TRUE(one[0].success) << one[0].failure_reason;
+  EXPECT_EQ(test::sorted(one[0].faults), test::sorted(faults.nodes()));
+  EXPECT_GT(one[0].lookups, 0u);
 }
 
-TEST(BatchDiagnoser, SyndromeVectorConvenienceOverload) {
-  test::Instance inst("star 5");
-  Diagnoser sequential(*inst.topo, inst.graph);
-  std::vector<Syndrome> syndromes;
-  std::vector<FaultSet> faults;
-  for (std::size_t i = 0; i < 6; ++i) {
-    Rng rng(50 + i);
-    faults.emplace_back(inst.graph.num_nodes(),
-                        inject_uniform(inst.graph.num_nodes(), i % 4, rng));
-    syndromes.push_back(generate_syndrome(inst.graph, faults.back(),
-                                          FaultyBehavior::kRandom, i));
-  }
-  BatchOptions options;
-  options.threads = 2;
-  BatchDiagnoser engine(*inst.topo, inst.graph, options);
-  const BatchResult result = engine.diagnose_all(syndromes);
-  ASSERT_EQ(result.results.size(), syndromes.size());
-  for (std::size_t i = 0; i < syndromes.size(); ++i) {
-    const TableOracle oracle(inst.graph, syndromes[i]);
-    expect_equivalent(sequential.diagnose(oracle), result.results[i], i);
-  }
-}
-
-TEST(BatchDiagnoser, SharedPartitionConstructor) {
-  test::Instance inst("hypercube 7");
-  Diagnoser sequential(*inst.topo, inst.graph);
-  BatchOptions options;
-  options.threads = 2;
-  // Adopt the sequential diagnoser's partition instead of re-certifying.
-  BatchDiagnoser engine(inst.graph, sequential.partition(), options);
-  EXPECT_EQ(engine.partition().plan.get(), sequential.partition().plan.get());
-
-  const TestBatch batch = make_batch(inst, sequential.delta(), 5);
-  const BatchResult result = engine.diagnose_all(batch.ptrs);
-  for (std::size_t i = 0; i < batch.ptrs.size(); ++i) {
-    expect_equivalent(sequential.diagnose(*batch.ptrs[i]), result.results[i],
-                      i);
-  }
-}
-
-TEST(BatchDiagnoser, FailedItemsKeepTheirCostAndDoNotPoisonTheBatch) {
+TEST(ServeBatch, FailedItemsKeepTheirCostAndDoNotPoisonTheBatch) {
   // One undiagnosable syndrome (every probed seed faulty, all-one testers)
   // mixed into healthy traffic: its slot reports failure with nonzero
   // look-ups, every other slot is unaffected.
@@ -262,19 +228,17 @@ TEST(BatchDiagnoser, FailedItemsKeepTheirCostAndDoNotPoisonTheBatch) {
   // consulted by exactly one lane (the look-up counter is unsynchronised).
   const LazyOracle good_a(inst.graph, healthy, FaultyBehavior::kRandom, 1);
   const LazyOracle good_b(inst.graph, healthy, FaultyBehavior::kRandom, 1);
-  BatchOptions options;
-  options.threads = 2;
-  BatchDiagnoser engine(*inst.topo, inst.graph, options);
-  const BatchResult result = engine.diagnose_all({&good_a, &bad, &good_b});
+  DiagnosisEngine engine(lanes(2));
+  const std::vector<DiagnosisResult> served =
+      serve_all(engine, "hypercube 7", {&good_a, &bad, &good_b});
 
-  ASSERT_EQ(result.results.size(), 3u);
-  EXPECT_EQ(result.succeeded, 2u);
-  EXPECT_FALSE(result.results[1].success);
-  EXPECT_GT(result.results[1].lookups, 0u);
+  ASSERT_EQ(served.size(), 3u);
+  EXPECT_FALSE(served[1].success);
+  EXPECT_GT(served[1].lookups, 0u);
+  expect_equivalent(sequential.diagnose(bad), served[1], 1);
   for (const std::size_t i : {std::size_t{0}, std::size_t{2}}) {
-    ASSERT_TRUE(result.results[i].success);
-    EXPECT_EQ(test::sorted(result.results[i].faults),
-              test::sorted(healthy.nodes()));
+    ASSERT_TRUE(served[i].success);
+    EXPECT_EQ(test::sorted(served[i].faults), test::sorted(healthy.nodes()));
   }
 }
 
@@ -311,15 +275,16 @@ TableTestBatch make_table_batch(const test::Instance& inst, unsigned delta,
   return batch;
 }
 
-TEST(BatchDiagnoser, BitslicedCohortsMatchScalarAtEveryWidth) {
+TEST(ServeBatch, BitslicedCohortsMatchScalarAtEveryWidth) {
   // Widths straddling the 64-lane cohort boundary: 63 (no cohort forms),
-  // 64 (exactly one), 65 (one cohort + one scalar straggler), 130 (two
-  // cohorts + two stragglers). Each width is checked against both the
-  // sequential Diagnoser and the bitsliced=false batch path.
+  // 64 (exactly one), 65 (one cohort + one scalar straggler), 128 (two
+  // cohorts). Each width is checked against the sequential Diagnoser, the
+  // scalar path every table syndrome would otherwise take.
   test::Instance inst("hypercube 7");
   Diagnoser sequential(*inst.topo, inst.graph);
+  DiagnosisEngine engine(lanes(2));
   for (const std::size_t count : {std::size_t{63}, std::size_t{64},
-                                  std::size_t{65}, std::size_t{130}}) {
+                                  std::size_t{65}, std::size_t{128}}) {
     SCOPED_TRACE(count);
     const TableTestBatch batch =
         make_table_batch(inst, sequential.delta(), count);
@@ -328,31 +293,18 @@ TEST(BatchDiagnoser, BitslicedCohortsMatchScalarAtEveryWidth) {
     for (const SyndromeOracle* oracle : batch.ptrs) {
       truth.push_back(sequential.diagnose(*oracle));
     }
-
-    BatchOptions scalar_opts;
-    scalar_opts.threads = 2;
-    scalar_opts.bitsliced = false;
-    BatchDiagnoser scalar_engine(*inst.topo, inst.graph, scalar_opts);
-    const BatchResult scalar = scalar_engine.diagnose_all(batch.ptrs);
-
-    BatchOptions sliced_opts;
-    sliced_opts.threads = 2;
-    sliced_opts.bitsliced = true;
-    BatchDiagnoser sliced_engine(*inst.topo, inst.graph, sliced_opts);
-    const BatchResult sliced = sliced_engine.diagnose_all(batch.ptrs);
-
-    ASSERT_EQ(scalar.results.size(), count);
-    ASSERT_EQ(sliced.results.size(), count);
+    const std::vector<DiagnosisResult> served =
+        serve_all(engine, "hypercube 7", batch.ptrs);
+    ASSERT_EQ(served.size(), count);
     for (std::size_t i = 0; i < count; ++i) {
-      expect_equivalent(truth[i], scalar.results[i], i);
-      expect_equivalent(truth[i], sliced.results[i], i);
+      expect_equivalent(truth[i], served[i], i);
+      ASSERT_EQ(truth[i].final_members, served[i].final_members) << i;
+      ASSERT_EQ(truth[i].final_rounds, served[i].final_rounds) << i;
     }
-    EXPECT_EQ(sliced.total_lookups, scalar.total_lookups);
-    EXPECT_EQ(sliced.succeeded, scalar.succeeded);
   }
 }
 
-TEST(BatchDiagnoser, MixedLazyAndTableBatchScattersCorrectly) {
+TEST(ServeBatch, MixedLazyAndTableBatchScattersCorrectly) {
   // 64 tables interleaved with lazy oracles: the tables form one cohort,
   // the lazies stay scalar, and every result lands back at its original
   // index.
@@ -374,59 +326,27 @@ TEST(BatchDiagnoser, MixedLazyAndTableBatchScattersCorrectly) {
     truth.push_back(sequential.diagnose(*oracle));
   }
 
-  BatchOptions options;
-  options.threads = 3;
-  BatchDiagnoser engine(*inst.topo, inst.graph, options);
-  const BatchResult result = engine.diagnose_all(mixed);
-  ASSERT_EQ(result.results.size(), mixed.size());
+  DiagnosisEngine engine(lanes(3));
+  const std::vector<DiagnosisResult> served =
+      serve_all(engine, "hypercube 7", mixed);
+  ASSERT_EQ(served.size(), mixed.size());
   for (std::size_t i = 0; i < mixed.size(); ++i) {
-    expect_equivalent(truth[i], result.results[i], i);
-    ASSERT_EQ(truth[i].final_members, result.results[i].final_members) << i;
+    expect_equivalent(truth[i], served[i], i);
+    ASSERT_EQ(truth[i].final_members, served[i].final_members) << i;
   }
 }
 
-TEST(BatchDiagnoser, SingleItemCohortlessBatchStillWorks) {
+TEST(ServeBatch, SingleItemCohortlessBatchStillWorks) {
   // One table oracle: far below cohort width, must take the scalar path
-  // under bitsliced=true without stalling the pool.
+  // without stalling the pool.
   test::Instance inst("star 5");
   Diagnoser sequential(*inst.topo, inst.graph);
   const TableTestBatch batch = make_table_batch(inst, sequential.delta(), 1);
-  BatchOptions options;
-  options.threads = 4;
-  BatchDiagnoser engine(*inst.topo, inst.graph, options);
-  const BatchResult result = engine.diagnose_all(batch.ptrs);
-  ASSERT_EQ(result.results.size(), 1u);
-  expect_equivalent(sequential.diagnose(*batch.ptrs[0]), result.results[0], 0);
-}
-
-TEST(BatchDiagnoser, AdoptingPathRejectsConflictingDelta) {
-  // A non-zero options.diagnoser.delta that disagrees with the adopted
-  // partition's certified bound used to be silently ignored; it now throws
-  // before any lane is built.
-  test::Instance inst("hypercube 7");
-  Diagnoser sequential(*inst.topo, inst.graph);  // certifies delta = 7
-  BatchOptions conflicting;
-  conflicting.diagnoser.delta = 3;
-  EXPECT_THROW(BatchDiagnoser(inst.graph, sequential.partition(), conflicting),
-               std::invalid_argument);
-  BatchOptions agreeing;
-  agreeing.diagnoser.delta = 7;
-  EXPECT_NO_THROW(BatchDiagnoser(inst.graph, sequential.partition(), agreeing));
-}
-
-TEST(BatchDiagnoser, AdoptingPathRejectsMismatchedRule) {
-  test::Instance inst("hypercube 7");
-  Diagnoser sequential(*inst.topo, inst.graph);  // calibrated under kSpread
-  BatchOptions mismatched;
-  mismatched.diagnoser.rule = ParentRule::kLeastFirst;
-  EXPECT_THROW(BatchDiagnoser(inst.graph, sequential.partition(), mismatched),
-               std::invalid_argument);
-}
-
-TEST(BatchDiagnoser, NullOracleRejected) {
-  test::Instance inst("hypercube 7");
-  BatchDiagnoser engine(*inst.topo, inst.graph);
-  EXPECT_THROW((void)engine.diagnose_all({nullptr}), std::invalid_argument);
+  DiagnosisEngine engine(lanes(4));
+  const std::vector<DiagnosisResult> served =
+      serve_all(engine, "star 5", batch.ptrs);
+  ASSERT_EQ(served.size(), 1u);
+  expect_equivalent(sequential.diagnose(*batch.ptrs[0]), served[0], 0);
 }
 
 }  // namespace

@@ -574,9 +574,10 @@ TEST(ChurnHarness, ThreeHundredGeneratedStreamsClean) {
 
 // ---- Churn racing in-flight solves ----------------------------------------
 
-TEST(ChurnEngine, ChurnRacesInFlightBatchSolvesWithoutDisturbingThem) {
+TEST(ChurnEngine, ChurnRacesInFlightServeBatchesWithoutDisturbingThem) {
   const FamilyCase family = kChurnFamilies[0];
   EngineOptions engine_options;
+  engine_options.threads = 2;
   engine_options.diagnoser.delta = family.delta;
   DiagnosisEngine engine(engine_options);
   ChurnEngine churn(engine, family.spec, options_for(family));
@@ -588,28 +589,26 @@ TEST(ChurnEngine, ChurnRacesInFlightBatchSolvesWithoutDisturbingThem) {
   const auto make_oracle = [&] {
     return LazyOracle(graph, faults, FaultyBehavior::kRandom, 7);
   };
-  const std::unique_ptr<BatchDiagnoser> batch =
-      engine.make_batch_diagnoser(family.spec, 2);
   const LazyOracle baseline_oracle = make_oracle();
-  const std::vector<const SyndromeOracle*> baseline_batch = {&baseline_oracle};
-  const DiagnosisResult baseline = batch->diagnose_all(baseline_batch).results[0];
+  const DiagnosisResult baseline =
+      engine.serve({{family.spec, &baseline_oracle}})[0];
 
-  // Thread A hammers the immutable base calibration through batch solves;
-  // thread B churns the overlay and diagnoses through it. The base results
-  // must stay bit-identical throughout — churn is an overlay, never a
-  // mutation of shared state.
+  // Thread A hammers the immutable base calibration through served
+  // batches; thread B churns the overlay and diagnoses through it. The
+  // base results must stay bit-identical throughout — churn is an overlay,
+  // never a mutation of shared state.
   std::vector<std::string> batch_errors;
   std::thread solver([&] {
     for (int i = 0; i < 16; ++i) {
       const LazyOracle o0 = make_oracle();
       const LazyOracle o1 = make_oracle();
-      const std::vector<const SyndromeOracle*> lanes = {&o0, &o1};
-      const BatchResult r = batch->diagnose_all(lanes);
-      for (const DiagnosisResult& result : r.results) {
+      const std::vector<DiagnosisResult> served =
+          engine.serve({{family.spec, &o0}, {family.spec, &o1}});
+      for (const DiagnosisResult& result : served) {
         if (result.success != baseline.success ||
             result.faults != baseline.faults ||
             result.lookups != baseline.lookups) {
-          batch_errors.push_back("batch result diverged during churn");
+          batch_errors.push_back("served result diverged during churn");
         }
       }
     }

@@ -9,13 +9,16 @@
 #include <memory>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/diagnoser.hpp"
 #include "engine/engine.hpp"
 #include "graph/implicit_graph.hpp"
+#include "mm/directed_oracle.hpp"
 #include "mm/injector.hpp"
+#include "mm/syndrome.hpp"
 #include "test_util.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -151,6 +154,52 @@ TEST(DiagnosisEngine, ServeIsolatesPerRequestFailures) {
   EXPECT_NE(served[2].failure_reason.find("null oracle"), std::string::npos);
 }
 
+TEST(DiagnosisEngine, ServeRejectsMalformedRequestsAtEveryCohortWidth) {
+  // Malformed table requests fail with the scalar path's exact message
+  // whether or not there are enough of them to fill a bitsliced cohort.
+  EngineOptions options;
+  options.threads = 2;
+  DiagnosisEngine engine(options);
+  test::Instance inst("hypercube 7");
+  Rng rng(11);
+  const FaultSet faults(inst.graph.num_nodes(),
+                        inject_uniform(inst.graph.num_nodes(), 3, rng));
+  const Syndrome syndrome =
+      generate_syndrome(inst.graph, faults, FaultyBehavior::kRandom, 1);
+  const DirectedLazyOracle directed(inst.graph, faults, DiagnosisModel::kBGM,
+                                    FaultyBehavior::kRandom, 1);
+  struct Shape {
+    const DirectedOracle* directed;
+    Node local_node;
+    const char* message;
+  };
+  const Shape shapes[] = {
+      {nullptr, 5, "local_node is set but the request has no directed oracle"},
+      {&directed, kNoNode, "request carries both an MM* and a directed oracle"},
+  };
+  for (const Shape& shape : shapes) {
+    for (const std::size_t count : {std::size_t{1}, std::size_t{63},
+                                    std::size_t{64}, std::size_t{65}}) {
+      SCOPED_TRACE(std::string(shape.message) + " x" + std::to_string(count));
+      std::vector<TableOracle> tables;
+      tables.reserve(count);
+      std::vector<EngineRequest> requests;
+      for (std::size_t i = 0; i < count; ++i) {
+        tables.emplace_back(inst.graph, syndrome);
+        requests.push_back(EngineRequest{"hypercube 7", &tables.back(),
+                                         shape.directed, shape.local_node});
+      }
+      const std::vector<DiagnosisResult> served = engine.serve(requests);
+      ASSERT_EQ(served.size(), count);
+      for (const DiagnosisResult& r : served) {
+        ASSERT_FALSE(r.success);
+        ASSERT_EQ(r.failure_reason, shape.message);
+        ASSERT_EQ(r.lookups, 0u);
+      }
+    }
+  }
+}
+
 TEST(DiagnosisEngine, CanonicalSpecSharingAcrossSpellings) {
   DiagnosisEngine engine;
   const auto a = engine.calibration("hypercube 7");
@@ -277,12 +326,10 @@ TEST(DiagnosisEngine, TwoEntryLruOverFourSpecsHammeredByWorkers) {
 
 TEST(DiagnosisEngine, SharedOwnershipOutlivesTheEngine) {
   std::unique_ptr<Diagnoser> diagnoser;
-  std::unique_ptr<BatchDiagnoser> batch;
   {
     DiagnosisEngine engine;
     diagnoser = engine.make_diagnoser("hypercube 7");
-    batch = engine.make_batch_diagnoser("hypercube 7", 2);
-  }  // engine (and its cache) destroyed; the bundles live on
+  }  // engine (and its cache) destroyed; the bundle lives on
   test::Instance inst("hypercube 7");
   Rng rng(23);
   const FaultSet faults(inst.graph.num_nodes(),
@@ -291,10 +338,6 @@ TEST(DiagnosisEngine, SharedOwnershipOutlivesTheEngine) {
   const LazyOracle b(inst.graph, faults, FaultyBehavior::kAntiDiagnostic, 9);
   const DiagnosisResult direct = Diagnoser(*inst.topo, inst.graph).diagnose(a);
   expect_bit_identical(direct, diagnoser->diagnose(b), 0);
-  const LazyOracle c(inst.graph, faults, FaultyBehavior::kAntiDiagnostic, 9);
-  const BatchResult batched = batch->diagnose_all({&c});
-  ASSERT_EQ(batched.results.size(), 1u);
-  expect_bit_identical(direct, batched.results[0], 1);
 }
 
 TEST(DiagnosisEngine, DiagnoseFillsTheAmortisationSplit) {
@@ -377,10 +420,34 @@ TEST(DiagnosisEngine, ImplicitModeIsBitIdenticalAndMaterialisesNoEdges) {
                          imp_engine.diagnose(spec, ilazy), i);
   }
 
-  // Batch lanes address syndrome rows through the materialised CSR layout.
-  EXPECT_THROW((void)imp_engine.make_batch_diagnoser(spec),
-               std::invalid_argument);
-  EXPECT_NO_THROW((void)csr_engine.make_batch_diagnoser(spec));
+  // Enough table requests for a cohort: the implicit engine cannot
+  // bitslice (cohorts read CSR row layout) and serves them scalar, with
+  // results bit-identical to the CSR engine's cohort.
+  std::vector<FaultSet> table_faults;
+  std::vector<Syndrome> syndromes;
+  table_faults.reserve(BitSlicedOracle::kMaxLanes);
+  syndromes.reserve(BitSlicedOracle::kMaxLanes);
+  for (std::size_t i = 0; i < BitSlicedOracle::kMaxLanes; ++i) {
+    Rng rng(600 + i);
+    table_faults.emplace_back(n, inject_uniform(n, i % 8, rng));
+    syndromes.push_back(generate_syndrome(inst.graph, table_faults.back(),
+                                          FaultyBehavior::kRandom, i));
+  }
+  std::vector<TableOracle> tables;
+  tables.reserve(syndromes.size());
+  std::vector<EngineRequest> requests;
+  for (const Syndrome& syndrome : syndromes) {
+    tables.emplace_back(inst.graph, syndrome);
+    requests.push_back(EngineRequest{spec, &tables.back()});
+  }
+  const std::vector<DiagnosisResult> csr_served = csr_engine.serve(requests);
+  const std::vector<DiagnosisResult> imp_served = imp_engine.serve(requests);
+  ASSERT_EQ(csr_served.size(), requests.size());
+  ASSERT_EQ(imp_served.size(), requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    ASSERT_TRUE(csr_served[i].success) << csr_served[i].failure_reason;
+    expect_bit_identical(csr_served[i], imp_served[i], i);
+  }
 }
 
 TEST(DiagnosisEngine, AutoModeKeepsSmallInstancesOnCsr) {
