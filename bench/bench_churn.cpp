@@ -16,8 +16,8 @@
 // requires the headline warm-over-cold ratio to reach 10x (the committed
 // BENCH_churn.json is the record of that claim).
 //
-// Not a google-benchmark binary, for the same reason as bench_shard: CI
-// asserts the identity fields on images without the benchmark library.
+// Not a google-benchmark binary: CI asserts the identity fields on images
+// without the benchmark library.
 //
 //   bench_churn [--smoke] [--out FILE]
 //

@@ -9,7 +9,7 @@
 //       all-one | anti.
 //
 //   mmdiag_cli diagnose <file> [--verify] [--model m] [--local NODE]
-//              [--graph-mode csr|auto] [--shards S]
+//              [--graph-mode csr|auto]
 //       Load a syndrome file (its model header picks the solver), run the
 //       diagnosis through the DiagnosisEngine, print the fault ids and the
 //       setup/solve split (and check full-syndrome consistency with
@@ -17,10 +17,6 @@
 //       answers one node's status via the BGM neighbourhood-read fast
 //       path instead of a global solve. Syndrome files address rows
 //       through CSR adjacency, so --graph-mode implicit is a usage error.
-//       --shards S routes an mm-star solve through the owner/halo
-//       ShardedDiagnoser (S owner shards, parallel scans, bit-identical
-//       results); the final-pass rule becomes spread, the one change the
-//       sharded engine requires.
 //
 //   mmdiag_cli diagnose --batch <dir> [--threads N]
 //       Load every syndrome file in <dir> (anything not ending in .truth)
@@ -82,7 +78,6 @@
 #include "core/certified_partition.hpp"
 #include "core/diagnoser.hpp"
 #include "core/verifier.hpp"
-#include "distributed/shard_plan.hpp"
 #include "engine/engine.hpp"
 #include "fuzz/fuzzer.hpp"
 #include "io/syndrome_io.hpp"
@@ -106,7 +101,7 @@ int usage() {
                "[--behavior random|all-zero|all-one|anti] -o FILE\n"
             << "  mmdiag_cli diagnose FILE [--verify] "
                "[--model mm-star|pmc|bgm] [--local NODE] "
-               "[--graph-mode csr|auto] [--shards S]\n"
+               "[--graph-mode csr|auto]\n"
             << "  mmdiag_cli diagnose --batch DIR [--threads N] "
                "[--graph-mode csr|auto]\n"
             << "  mmdiag_cli serve --requests FILE [--threads N] "
@@ -465,7 +460,6 @@ int cmd_diagnose(const std::vector<std::string>& args) {
   std::string path, batch_dir;
   bool verify = false;
   unsigned threads = 0;
-  unsigned shards = 1;
   GraphMode graph_mode = GraphMode::kCsr;
   DiagnosisModel expected_model = DiagnosisModel::kMMStar;
   bool have_expected_model = false;
@@ -478,11 +472,6 @@ int cmd_diagnose(const std::vector<std::string>& args) {
       batch_dir = args[++i];
     } else if (args[i] == "--threads" && i + 1 < args.size()) {
       if (!parse_flag_value("--threads", args[++i], kMaxThreads, threads)) {
-        return usage();
-      }
-    } else if (args[i] == "--shards" && i + 1 < args.size()) {
-      if (!parse_flag_value("--shards", args[++i], ShardPlan::kMaxShards,
-                            shards)) {
         return usage();
       }
     } else if (args[i] == "--graph-mode" && i + 1 < args.size()) {
@@ -541,14 +530,6 @@ int cmd_diagnose(const std::vector<std::string>& args) {
   EngineOptions engine_options;
   engine_options.threads = 1;
   engine_options.graph_mode = graph_mode;
-  engine_options.shards = shards;
-  if (shards != 1) {
-    // The sharded engine needs deferred rules for both phases; spread is
-    // the probe-rule default, so only the final pass changes. Results stay
-    // bit-identical to a monolithic run under the same pair of rules.
-    engine_options.diagnoser.final_rule = ParentRule::kSpread;
-    engine_options.threads = threads;  // scan lanes; 0 = hardware
-  }
   DiagnosisEngine engine(engine_options);
   PinnedResolver resolve(engine);
   std::istringstream body(buffer.str());
@@ -573,8 +554,8 @@ int cmd_diagnose(const std::vector<std::string>& args) {
   std::cout << "diagnosed " << result.faults.size() << " fault(s) in "
             << result.diagnose_seconds * 1e3 << " ms solve + "
             << cal->build_seconds * 1e3 << " ms calibration ("
-            << result.lookups << " look-ups, " << result.shards_used
-            << " shard(s)" << (verify ? ", verified" : "") << "):\n";
+            << result.lookups << " look-ups"
+            << (verify ? ", verified" : "") << "):\n";
   for (const Node v : result.faults) {
     std::cout << "  " << v << "  [" << cal->topology->node_label(v) << "]\n";
   }

@@ -84,8 +84,8 @@ fi
 
 if [ -x bench/bench_scale ]; then
   # The scale smoke must show the implicit-topology path solving a >= 2^16
-  # node instance inside a modest memory budget, bit-identical to the CSR
-  # view (the binary itself exits non-zero on divergence; the JSON fields
+  # node instance, calibrated as the engine serves it, inside a modest
+  # memory budget, bit-identical to the CSR view (the binary itself exits non-zero on divergence; the JSON fields
   # are re-checked here so a reporting bug cannot mask one).
   ./bench/bench_scale --smoke --out BENCH_scale.json
   if command -v python3 >/dev/null; then
@@ -95,6 +95,10 @@ with open("BENCH_scale.json") as f:
     report = json.load(f)
 rows = report["results"]
 assert rows, "BENCH_scale.json has no results"
+assert report["calibration_scope"].startswith("all components"), \
+    f"bench_scale calibrates a scope the engine does not serve: {report}"
+assert report["syndrome"].startswith("synthetic"), \
+    "bench_scale lost its synthetic-syndrome label"
 assert any(r["nodes"] >= 65536 for r in rows), \
     "no row reached 2^16 nodes: the scale path never scaled"
 for r in rows:
@@ -105,6 +109,7 @@ for r in rows:
         f"implicit view not smaller than CSR: {r}"
     assert r["peak_rss_kb"] < 262144, \
         f"scale smoke exceeded the 256 MB peak-RSS budget: {r}"
+    assert r["calibration_seconds"] > 0, f"calibration was not timed: {r}"
 print(f"scale smoke: {len(rows)} rows, implicit view bit-identical to CSR "
       "inside the peak-RSS budget")
 PY
@@ -153,45 +158,6 @@ else
   echo "model smoke: bench_models not built, skipped"
 fi
 
-if [ -x bench/bench_shard ]; then
-  # The shard smoke must show the owner/halo engine sharding a >= 2^16 node
-  # instance bit-identically to the monolith — same faults, probes AND
-  # counted look-ups — inside a per-shard row-store budget below the
-  # monolithic CSR (the binary itself exits non-zero on divergence; the
-  # JSON fields are re-checked here so a reporting bug cannot mask one).
-  ./bench/bench_shard --smoke --out BENCH_shard.json
-  if command -v python3 >/dev/null; then
-    python3 - <<'PY'
-import json
-with open("BENCH_shard.json") as f:
-    report = json.load(f)
-assert "hardware_threads" in report, "bench_shard lost its hardware_threads meta"
-rows = report["results"]
-assert rows, "BENCH_shard.json has no results"
-identity = [r for r in rows if r["mode"] == "identity"]
-assert identity, "no identity rows: the sharded engine never raced the monolith"
-assert any(r["nodes"] >= 65536 and r["shards"] >= 2 for r in identity), \
-    "no sharded row reached 2^16 nodes"
-for r in identity:
-    assert r["identical_to_monolithic"], \
-        f"sharded engine diverged from the monolith: {r}"
-    assert r["lookups_identical"], \
-        f"sharded engine changed the counted look-ups: {r}"
-    assert r["monolithic_lookups"] == r["sharded_lookups"], f"look-ups differ: {r}"
-    assert r["store_below_monolithic_csr"], \
-        f"a shard's row store outgrew the monolithic CSR: {r}"
-    assert r["peak_rss_kb"] < 262144, \
-        f"shard smoke exceeded the 256 MB peak-RSS budget: {r}"
-print(f"shard smoke: {len(identity)} identity rows, sharded engine "
-      "bit-identical to the monolith with unchanged look-up counts")
-PY
-  else
-    echo "shard smoke: python3 unavailable, JSON validation skipped"
-  fi
-else
-  echo "shard smoke: bench_shard not built, skipped"
-fi
-
 if [ -x bench/bench_churn ]; then
   # The churn smoke must show the warm incremental path holding bit-identity
   # against cold full recalibration on hostile generated streams (expected
@@ -237,13 +203,12 @@ fi
 
 # hardware_threads must be present in every bench report that carries
 # speed numbers, so a reader can tell a 1-thread CI container's timings
-# from a workstation's (the sharded speedup rows are meaningless without
-# it).
+# from a workstation's.
 if command -v python3 >/dev/null; then
   python3 - <<'PY'
 import json
 for name in ("BENCH_batch.json", "BENCH_engine.json", "BENCH_scale.json",
-             "BENCH_models.json", "BENCH_shard.json", "BENCH_churn.json"):
+             "BENCH_models.json", "BENCH_churn.json"):
     try:
         with open(name) as f:
             report = json.load(f)
@@ -259,9 +224,7 @@ fi
 # extract/row_bits/transpose64 shift edge cases trap at runtime under
 # -fsanitize=undefined instead of silently wrapping, and the directed-model
 # suites ride along so PMC/BGM hash and bit plumbing get the same scrutiny.
-# shard_test rides along too: the sharded engine's frontier bitmaps, halo
-# slot maps and merge cursors are all word/index arithmetic. churn_test as
-# well: the overlay's dead-edge masks, the masked oracle reads and the
+# churn_test rides along too: the overlay's dead-edge masks, the masked oracle reads and the
 # changed-row bitsets are the same kind of shift-heavy word plumbing. Only
 # the suites that exercise those kernels are built, so the pass stays cheap.
 cd ..
@@ -271,16 +234,15 @@ cmake -B build-ubsan -S . \
   "$@"
 cmake --build build-ubsan -j --target util_test syndrome_test \
   dispatch_equiv_test model_test directed_solver_test model_fuzz_test \
-  shard_test churn_test
+  churn_test
 ./build-ubsan/tests/util_test
 ./build-ubsan/tests/syndrome_test
 ./build-ubsan/tests/dispatch_equiv_test
 ./build-ubsan/tests/model_test
 ./build-ubsan/tests/directed_solver_test
 ./build-ubsan/tests/model_fuzz_test
-./build-ubsan/tests/shard_test
 ./build-ubsan/tests/churn_test
-echo "ubsan smoke: word-level kernel, directed-model, shard and churn" \
+echo "ubsan smoke: word-level kernel, directed-model and churn" \
      "suites clean under -fsanitize=undefined"
 
 # ASan over every suite: ctest of the whole tier-1 set (examples off, so the
@@ -296,20 +258,18 @@ cmake --build build-asan -j
 echo "asan smoke: every suite clean under -fsanitize=address"
 
 # TSan over the suites that share state across threads: serve() lanes and
-# the calibration cache (engine_test, batch_test), the sharded engine's
-# pool fan-out (shard_test) and churn racing in-flight serves (churn_test).
+# the calibration cache (engine_test, batch_test) and churn racing
+# in-flight serves (churn_test).
 cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
   -DMMDIAG_BUILD_EXAMPLES=OFF -DMMDIAG_BUILD_BENCH=OFF \
   "$@"
-cmake --build build-tsan -j --target engine_test batch_test shard_test \
-  churn_test
+cmake --build build-tsan -j --target engine_test batch_test churn_test
 ./build-tsan/tests/engine_test
 ./build-tsan/tests/batch_test
-./build-tsan/tests/shard_test
 ./build-tsan/tests/churn_test
-echo "tsan smoke: engine, batch, shard and churn suites clean under" \
+echo "tsan smoke: engine, batch and churn suites clean under" \
      "-fsanitize=thread"
 
 # Release build of every target: -O3 enables optimiser-driven warnings

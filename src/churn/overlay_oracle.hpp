@@ -4,8 +4,8 @@
 // that involves a removed node or dead edge read as 1 ("mismatch") keeps
 // dead elements out of every run without touching the solver: they are
 // simply never admitted, exactly as an all-faulty cluster would be. The
-// wrapper is no TableOracle, so it is never read by packed rows (cohorts,
-// shards) and masked tests are counted one by one — identically on the warm
+// wrapper is no TableOracle, so it is never read by packed rows (cohorts)
+// and masked tests are counted one by one — identically on the warm
 // incremental path and the cold reference path, which is what makes counted
 // look-ups comparable bit-for-bit between the two.
 #pragma once

@@ -51,8 +51,8 @@ struct ChurnDelta {
 class TopologyOverlay {
  public:
   /// The overlay packs each node's dead-edge state into one word, so the
-  /// base view must have degree <= 64 (the same bound the cohort and
-  /// sharded row paths and the implicit view already live under).
+  /// base view must have degree <= 64 (the same bound the cohort row
+  /// path and the implicit view already live under).
   explicit TopologyOverlay(const Graph& base);
   explicit TopologyOverlay(const ImplicitGraph& base);
 

@@ -65,11 +65,12 @@ struct DiagnosisResult {
   bool calibration_reused = false; // served without waiting on a
                                    // calibration build (cache hit that
                                    // didn't block behind the builder)
-  unsigned shards_used = 1;        // owner/halo shards the engine actually
-                                   // solved with; 1 = monolithic, including
-                                   // the silent fallback for requests that
-                                   // are not shardable (non-table oracle,
-                                   // degree > 64, order-serial rule)
+  unsigned shards_used = 1;        // always 1: an inert field kept only
+                                   // because the frozen request-level
+                                   // benchmark (reqbench/) reports it; the
+                                   // sharded engine that set it is gone,
+                                   // and a later benchmark change removes
+                                   // the field
   bool used_local_fast_path = false; // answered by bgm_local_diagnose's
                                      // neighbourhood reads alone, no
                                      // global solve (directed serving only)

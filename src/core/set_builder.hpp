@@ -51,7 +51,7 @@
 //     are reserved from component-size / previous-run bounds.
 //
 // Packed word rows are read only by the bitsliced cohort kernel
-// (run_sliced) and the sharded row stores. The seed implementation lives
+// (run_sliced). The seed implementation lives
 // on as a test reference in baselines/reference_driver.hpp; members,
 // trees, rounds, contributors AND look-up counts of both are bit-identical
 // (tests/dispatch_equiv_test.cpp races them per family/rule/oracle; the

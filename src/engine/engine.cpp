@@ -8,9 +8,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include <thread>
-
-#include "distributed/sharded_diagnoser.hpp"
 #include "topology/registry.hpp"
 #include "util/timer.hpp"
 
@@ -76,6 +73,51 @@ DiagnosisResult run_directed(DirectedDiagnoser& driver, const Graph& graph,
   return out;
 }
 
+template <class GV>
+bool same_degree_sequence(const Graph& graph, const GV& view) {
+  if (graph.num_nodes() != view.num_nodes()) return false;
+  if (graph.min_degree() == graph.max_degree() &&
+      view.min_degree() == view.max_degree()) {
+    return graph.min_degree() == view.min_degree();
+  }
+  for (Node u = 0; u < graph.num_nodes(); ++u) {
+    if (graph.degree(u) != view.degree(u)) return false;
+  }
+  return true;
+}
+
+/// Why an oracle over `graph` cannot be read against `cal`, or empty when
+/// it can. The solver addresses the syndrome through the calibrated view's
+/// adjacency, so a syndrome laid out for another node count or degree
+/// sequence would be read out of bounds. The served paths build oracles
+/// over cal->graph itself, which passes at once.
+std::string graph_mismatch(const Graph& graph, const Calibration& cal) {
+  if (&graph == &cal.graph) return {};
+  const bool same = cal.is_implicit()
+                        ? same_degree_sequence(graph, *cal.implicit_view)
+                        : same_degree_sequence(graph, cal.graph);
+  if (same) return {};
+  return "oracle graph (" + std::to_string(graph.num_nodes()) +
+         " nodes) does not match the calibrated topology " + cal.spec +
+         " (" + std::to_string(cal.topology->info().num_nodes) +
+         " nodes) in node count or degree sequence";
+}
+
+std::string graph_mismatch(const SyndromeOracle& oracle,
+                           const Calibration& cal) {
+  return oracle.has_graph() ? graph_mismatch(oracle.graph(), cal)
+                            : std::string{};
+}
+
+DiagnosisResult failed(std::string reason, bool reused,
+                       double setup_seconds) {
+  DiagnosisResult out;
+  out.failure_reason = std::move(reason);
+  out.calibration_reused = reused;
+  out.setup_seconds = setup_seconds;
+  return out;
+}
+
 /// Why serve() must refuse a request outright, or null when it is well
 /// formed.
 const char* malformed(const EngineRequest& request) {
@@ -91,10 +133,18 @@ const char* malformed(const EngineRequest& request) {
   return nullptr;
 }
 
+EngineOptions checked(EngineOptions options) {
+  if (options.shards != 1) {
+    throw std::invalid_argument(
+        "EngineOptions::shards must be 1: every solve is monolithic");
+  }
+  return options;
+}
+
 }  // namespace
 
 DiagnosisEngine::DiagnosisEngine(EngineOptions options)
-    : options_(options),
+    : options_(checked(options)),
       capacity_(options.cache_capacity == 0 ? 1 : options.cache_capacity),
       pool_(options.threads),
       lane_scratch_(pool_.size()) {}
@@ -197,48 +247,9 @@ DiagnosisResult DiagnosisEngine::diagnose(const std::string& spec,
                    options_.diagnoser.validate_all_components,
                    DiagnosisModel::kMMStar, &reused);
 
-  // Owner/halo sharded routing (EngineOptions::shards). Explicit N > 1
-  // shards whenever the oracle carries a materialised table the shard
-  // stores can re-partition (option errors like a kLeastFirst rule then
-  // propagate from the ShardedDiagnoser constructor); auto (0) additionally
-  // requires the instance to be big enough to pay for the plan and the
-  // rules to be shardable, silently staying monolithic otherwise. Either
-  // route returns bit-identical results (tests/shard_test.cpp).
-  if (options_.shards != 1) {
-    const auto* table = dynamic_cast<const TableOracle*>(&oracle);
-    const bool row_capable =
-        table != nullptr && cal->topology->info().degree <= 64;
-    unsigned shards = options_.shards;
-    if (shards == 0) {
-      const bool deferred_rules =
-          options_.diagnoser.rule != ParentRule::kLeastFirst &&
-          options_.diagnoser.final_rule != ParentRule::kLeastFirst;
-      const std::size_t nodes = cal->topology->info().num_nodes;
-      if (row_capable && deferred_rules &&
-          nodes >= kShardAutoNodeThreshold) {
-        shards = std::clamp(std::thread::hardware_concurrency(), 2u,
-                            unsigned{ShardPlan::kMaxShards});
-      } else {
-        shards = 1;  // not shardable or not worth it: monolithic
-      }
-    }
-    if (shards > 1 && row_capable) {
-      ShardedOptions sharded;
-      sharded.shards = shards;
-      sharded.threads = options_.threads;
-      sharded.diagnoser = options_.diagnoser;
-      ShardedDiagnoser engine(cal->topology, cal->partition, sharded);
-      const double setup_seconds = setup_timer.seconds();
-      DiagnosisResult result = engine.diagnose(table->syndrome());
-      result.shards_used = shards;
-      result.calibration_reused = reused;
-      result.setup_seconds = setup_seconds;
-      return result;
-    }
-    // Falling through leaves shards_used = 1: the fallback to a monolithic
-    // solve is visible in the result, never silent.
+  if (std::string why = graph_mismatch(oracle, *cal); !why.empty()) {
+    return failed(std::move(why), reused, setup_timer.seconds());
   }
-
   const std::unique_ptr<Diagnoser> diagnoser =
       make_calibrated_diagnoser(cal, options_.diagnoser);
   const double setup_seconds = setup_timer.seconds();
@@ -256,6 +267,9 @@ DiagnosisResult DiagnosisEngine::diagnose_directed(
       get_or_build(spec, options_.diagnoser.delta, options_.diagnoser.rule,
                    options_.diagnoser.validate_all_components, oracle.model(),
                    &reused);
+  if (std::string why = graph_mismatch(oracle.graph(), *cal); !why.empty()) {
+    return failed(std::move(why), reused, setup_timer.seconds());
+  }
   DirectedDiagnoser driver(cal->graph, cal->delta());
   const double setup_seconds = setup_timer.seconds();
   DiagnosisResult result = driver.diagnose(oracle);
@@ -274,6 +288,9 @@ DiagnosisResult DiagnosisEngine::local_diagnose(const std::string& spec,
                    options_.diagnoser.validate_all_components, oracle.model(),
                    &reused);
   const double setup_seconds = setup_timer.seconds();
+  if (std::string why = graph_mismatch(oracle.graph(), *cal); !why.empty()) {
+    return failed(std::move(why), reused, setup_seconds);
+  }
   const Timer solve_timer;
   const LocalDiagnosisResult local = bgm_local_diagnose(cal->graph, oracle,
                                                         node);
@@ -388,11 +405,25 @@ std::vector<DiagnosisResult> DiagnosisEngine::serve(
             }
             Diagnoser& diagnoser = *lane_entry(lane, cal).diagnoser;
             const double setup_seconds = setup_timer.seconds();
+            // A lane whose oracle does not match the calibrated graph fails
+            // alone; the others solve as a narrower cohort, which leaves
+            // their results and look-ups unchanged.
+            std::vector<std::size_t> lanes;  // positions k into idx
+            lanes.reserve(idx.size());
+            for (std::size_t k = 0; k < idx.size(); ++k) {
+              std::string why = graph_mismatch(*requests[idx[k]].oracle, *cal);
+              if (why.empty()) {
+                lanes.push_back(k);
+                continue;
+              }
+              results[idx[k]] =
+                  failed(std::move(why), reused[k], setup_seconds);
+            }
             if (cal->is_implicit()) {
               // Cohorts bitslice through CSR row layout; an implicit
               // calibration serves its TableOracle requests scalar instead
               // (same results, no lockstep).
-              for (std::size_t k = 0; k < idx.size(); ++k) {
+              for (const std::size_t k : lanes) {
                 DiagnosisResult r =
                     diagnoser.diagnose(*requests[idx[k]].oracle);
                 r.calibration_reused = reused[k];
@@ -401,17 +432,19 @@ std::vector<DiagnosisResult> DiagnosisEngine::serve(
               }
               return;
             }
+            if (lanes.empty()) return;
             std::vector<const TableOracle*> cohort;
-            cohort.reserve(idx.size());
-            for (const std::size_t i : idx) {
+            cohort.reserve(lanes.size());
+            for (const std::size_t k : lanes) {
               cohort.push_back(
-                  static_cast<const TableOracle*>(requests[i].oracle));
+                  static_cast<const TableOracle*>(requests[idx[k]].oracle));
             }
             auto res = diagnoser.diagnose_cohort(cohort);
-            for (std::size_t k = 0; k < idx.size(); ++k) {
-              res[k].calibration_reused = reused[k];
-              res[k].setup_seconds = setup_seconds;
-              results[idx[k]] = std::move(res[k]);
+            for (std::size_t c = 0; c < lanes.size(); ++c) {
+              const std::size_t k = lanes[c];
+              res[c].calibration_reused = reused[k];
+              res[c].setup_seconds = setup_seconds;
+              results[idx[k]] = std::move(res[c]);
             }
           } catch (const std::exception& e) {
             // A failing cohort fails alone; the stream goes on.
@@ -435,6 +468,11 @@ std::vector<DiagnosisResult> DiagnosisEngine::serve(
                 options_.diagnoser.rule,
                 options_.diagnoser.validate_all_components,
                 request.directed->model(), &reused);
+            std::string why = graph_mismatch(request.directed->graph(), *cal);
+            if (!why.empty()) {
+              out = failed(std::move(why), reused, setup_timer.seconds());
+              return;
+            }
             DirectedDiagnoser& driver = *lane_entry(lane, cal).directed;
             const double setup_seconds = setup_timer.seconds();
             out = run_directed(driver, cal->graph, *request.directed,
@@ -447,6 +485,11 @@ std::vector<DiagnosisResult> DiagnosisEngine::serve(
               request.spec, options_.diagnoser.delta, options_.diagnoser.rule,
               options_.diagnoser.validate_all_components,
               DiagnosisModel::kMMStar, &reused);
+          std::string why = graph_mismatch(*request.oracle, *cal);
+          if (!why.empty()) {
+            out = failed(std::move(why), reused, setup_timer.seconds());
+            return;
+          }
           Diagnoser& diagnoser = *lane_entry(lane, cal).diagnoser;
           const double setup_seconds = setup_timer.seconds();
           out = diagnoser.diagnose(*request.oracle);

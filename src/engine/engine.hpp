@@ -62,22 +62,14 @@ struct EngineOptions {
   /// ImplicitGraph. The resolved choice is part of the cache key, so one
   /// engine never conflates the two representations of a spec.
   GraphMode graph_mode = GraphMode::kAuto;
-  /// Owner/halo sharding for diagnose() (the MM* syndrome entry point).
-  /// 1 = always monolithic (default). N in [2, ShardPlan::kMaxShards] =
-  /// always shard into N when the request is shardable — a TableOracle
-  /// syndrome, degree <= 64, and deferred rules; a ShardedDiagnoser
-  /// constructor error (e.g. kLeastFirst) then propagates. 0 = auto: shard
-  /// at hardware-thread count once the instance crosses
-  /// kShardAutoNodeThreshold nodes, silently staying monolithic whenever
-  /// the request is not shardable. Results are bit-identical either way
-  /// (tests/shard_test.cpp asserts the routed-vs-monolithic contract).
+  /// Inert compatibility field: must be 1 (the constructor throws
+  /// std::invalid_argument otherwise). The owner/halo sharded engine it
+  /// once selected was removed after it lost to the monolithic Diagnoser
+  /// on 4 hardware threads at every hypercube 18-20 size; the field stays
+  /// only because the frozen request-level benchmark (reqbench/) still
+  /// sets and reports it. A later benchmark change removes it.
   unsigned shards = 1;
 };
-
-/// Auto sharding (EngineOptions::shards == 0) engages above this many
-/// nodes: below it the monolithic solve is already cache-resident and the
-/// per-shard plan/exchange overhead cannot pay for itself.
-inline constexpr std::size_t kShardAutoNodeThreshold = std::size_t{1} << 20;
 
 /// Monotonic cache counters (entries is a snapshot). misses counts actual
 /// calibration builds: racing misses on one key resolve to one miss for the
@@ -136,6 +128,9 @@ class DiagnosisEngine {
   /// Diagnose one syndrome through the cache. Thread-safe (a fresh
   /// Diagnoser is built per call — use serve() to amortise scratch across a
   /// stream). Fills the result's calibration_reused/setup_seconds split.
+  /// An oracle over a graph whose node count or degree sequence differs
+  /// from the calibrated topology's yields a failed result (every entry
+  /// point, serve() included, checks this before reading the syndrome).
   [[nodiscard]] DiagnosisResult diagnose(const std::string& spec,
                                          const SyndromeOracle& oracle);
 
@@ -159,9 +154,10 @@ class DiagnosisEngine {
   /// (degree <= 64, CSR calibration) is solved as one bitsliced cohort;
   /// results are bit-identical to the scalar path either way.
   /// Per-request failures (malformed request, unknown spec, uncertifiable
-  /// bound) become failed results, never exceptions — one bad request must
-  /// not poison a stream. Serialised: concurrent serve() calls run one at
-  /// a time (each already uses every pool lane).
+  /// bound, an oracle over another graph) become failed results, never
+  /// exceptions — one bad request must not poison a stream or its cohort.
+  /// Serialised: concurrent serve() calls run one at a time (each already
+  /// uses every pool lane).
   [[nodiscard]] std::vector<DiagnosisResult> serve(
       const std::vector<EngineRequest>& requests);
 

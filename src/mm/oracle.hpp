@@ -91,9 +91,9 @@ class TableOracle final : public SyndromeOracle {
     return syndrome_->row_bits_at(loc);
   }
 
-  /// The backing table, for consumers that re-partition the same
-  /// materialised rows under their own accounting (the sharded engine's
-  /// per-shard row stores copy owned and halo rows out of it).
+  /// The backing table, for the cohort kernel's divergent-lane peel path:
+  /// it reads one lane's packed row (Syndrome::row_bits) and charges the
+  /// pairs it consults itself.
   [[nodiscard]] const Syndrome& syndrome() const noexcept {
     return *syndrome_;
   }

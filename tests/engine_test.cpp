@@ -200,6 +200,136 @@ TEST(DiagnosisEngine, ServeRejectsMalformedRequestsAtEveryCohortWidth) {
   }
 }
 
+/// True when `r` is the refusal of an oracle built over a graph other than
+/// the calibrated topology's.
+bool refused_as_mismatch(const DiagnosisResult& r) {
+  return !r.success && r.lookups == 0 && r.shards_used == 1 &&
+         r.failure_reason.find("does not match the calibrated topology") !=
+             std::string::npos;
+}
+
+TEST(DiagnosisEngine, ServeRefusesAnOracleOverAnotherGraphAtEveryCohortWidth) {
+  // Table syndromes laid out for hypercube 7 requested as hypercube 10: the
+  // solver would address 1024 nodes' rows in a 128-node table. Every width
+  // — scalar, a 63-lane remainder, a full cohort, a cohort plus one — must
+  // refuse before reading the syndrome.
+  EngineOptions options;
+  options.threads = 2;
+  DiagnosisEngine engine(options);
+  test::Instance small("hypercube 7");
+  Rng rng(12);
+  const FaultSet faults(small.graph.num_nodes(),
+                        inject_uniform(small.graph.num_nodes(), 3, rng));
+  const Syndrome syndrome =
+      generate_syndrome(small.graph, faults, FaultyBehavior::kRandom, 1);
+  for (const std::size_t count : {std::size_t{1}, std::size_t{63},
+                                  std::size_t{64}, std::size_t{65}}) {
+    SCOPED_TRACE(count);
+    std::vector<TableOracle> tables;
+    tables.reserve(count);
+    std::vector<EngineRequest> requests;
+    for (std::size_t i = 0; i < count; ++i) {
+      tables.emplace_back(small.graph, syndrome);
+      requests.push_back(EngineRequest{"hypercube 10", &tables.back()});
+    }
+    const std::vector<DiagnosisResult> served = engine.serve(requests);
+    ASSERT_EQ(served.size(), count);
+    for (const DiagnosisResult& r : served) {
+      ASSERT_TRUE(refused_as_mismatch(r)) << r.failure_reason;
+      ASSERT_EQ(r.failure_reason, served.front().failure_reason);
+    }
+  }
+}
+
+TEST(DiagnosisEngine, DiagnoseRefusesAnOracleOverAnotherGraph) {
+  EngineOptions options;
+  options.diagnoser.delta = 3;  // inside folded_hypercube 7's window too
+  DiagnosisEngine engine(options);
+  test::Instance small("hypercube 7");
+  Rng rng(13);
+  const FaultSet faults(small.graph.num_nodes(),
+                        inject_uniform(small.graph.num_nodes(), 3, rng));
+  const Syndrome syndrome =
+      generate_syndrome(small.graph, faults, FaultyBehavior::kRandom, 1);
+  const TableOracle table(small.graph, syndrome);
+  // Another node count, and the same node count with another degree
+  // sequence (the folded hypercube adds one complementary edge per node).
+  for (const char* spec : {"hypercube 10", "folded_hypercube 7"}) {
+    SCOPED_TRACE(spec);
+    const DiagnosisResult r = engine.diagnose(spec, table);
+    EXPECT_TRUE(refused_as_mismatch(r)) << r.failure_reason;
+    EXPECT_NE(r.failure_reason.find("128 nodes"), std::string::npos);
+  }
+  // An equal-shape graph that is not the calibration's own is served.
+  const DiagnosisResult ok = engine.diagnose("hypercube 7", table);
+  EXPECT_TRUE(ok.success) << ok.failure_reason;
+  EXPECT_EQ(ok.faults, faults.nodes());
+
+  // Directed entry points check their oracle's graph the same way.
+  const DirectedLazyOracle directed(small.graph, faults, DiagnosisModel::kBGM,
+                                    FaultyBehavior::kRandom, 1);
+  EXPECT_TRUE(refused_as_mismatch(
+      engine.diagnose_directed("hypercube 10", directed)));
+  EXPECT_TRUE(refused_as_mismatch(
+      engine.local_diagnose("hypercube 10", directed, 5)));
+  const std::vector<DiagnosisResult> served =
+      engine.serve({EngineRequest{"hypercube 10", nullptr, &directed}});
+  EXPECT_TRUE(refused_as_mismatch(served.at(0)));
+}
+
+TEST(DiagnosisEngine, CohortLaneOverAnotherGraphFailsAlone) {
+  // One 64-wide cohort of hypercube 10 requests, one lane of which carries
+  // a hypercube 7 table. That lane fails; the other 63 keep the results
+  // and look-ups a direct Diagnoser gives them.
+  EngineOptions options;
+  options.threads = 2;
+  DiagnosisEngine engine(options);
+  test::Instance big("hypercube 10");
+  test::Instance small("hypercube 7");
+  constexpr std::size_t kBadLane = 17;
+  std::vector<Syndrome> syndromes;
+  syndromes.reserve(BitSlicedOracle::kMaxLanes);
+  for (std::size_t i = 0; i < BitSlicedOracle::kMaxLanes; ++i) {
+    const Graph& graph = i == kBadLane ? small.graph : big.graph;
+    Rng rng(100 + i);
+    const FaultSet faults(graph.num_nodes(),
+                          inject_uniform(graph.num_nodes(), 1 + i % 8, rng));
+    syndromes.push_back(
+        generate_syndrome(graph, faults, FaultyBehavior::kRandom, i));
+  }
+  std::vector<TableOracle> tables;
+  tables.reserve(syndromes.size());
+  std::vector<EngineRequest> requests;
+  for (std::size_t i = 0; i < syndromes.size(); ++i) {
+    tables.emplace_back(i == kBadLane ? small.graph : big.graph, syndromes[i]);
+    requests.push_back(EngineRequest{"hypercube 10", &tables.back()});
+  }
+  const std::vector<DiagnosisResult> served = engine.serve(requests);
+  ASSERT_EQ(served.size(), requests.size());
+  Diagnoser direct(*big.topo, big.graph);
+  for (std::size_t i = 0; i < served.size(); ++i) {
+    SCOPED_TRACE(i);
+    if (i == kBadLane) {
+      ASSERT_TRUE(refused_as_mismatch(served[i])) << served[i].failure_reason;
+      continue;
+    }
+    ASSERT_TRUE(served[i].success) << served[i].failure_reason;
+    ASSERT_EQ(served[i].shards_used, 1u);
+    expect_bit_identical(direct.diagnose(tables[i]), served[i], i);
+  }
+}
+
+TEST(DiagnosisEngine, ShardCountsOtherThanOneAreRejected) {
+  for (const unsigned shards : {0u, 2u}) {
+    EngineOptions options;
+    options.shards = shards;
+    EXPECT_THROW(DiagnosisEngine{options}, std::invalid_argument) << shards;
+  }
+  EngineOptions options;
+  options.shards = 1;
+  EXPECT_NO_THROW(DiagnosisEngine{options});
+}
+
 TEST(DiagnosisEngine, CanonicalSpecSharingAcrossSpellings) {
   DiagnosisEngine engine;
   const auto a = engine.calibration("hypercube 7");
