@@ -6,10 +6,11 @@
 // peak RSS dominated by the solver's O(N)-bit scratch, not by edges.
 //
 // Calibration is the engine's served configuration (validate_all=true:
-// every component certified), so the calibration column is the set-up cost
-// a request for the spec really pays. The syndromes are not: every row
-// reads a lazy oracle that synthesises each test on consultation, so no
-// syndrome is held in memory and the report says so.
+// every component certified, probed on a hardware_concurrency-lane
+// ThreadPool like a default DiagnosisEngine's), so the calibration column
+// is the set-up cost a request for the spec really pays. The syndromes are
+// not: every row reads a lazy oracle that synthesises each test on
+// consultation, so no syndrome is held in memory and the report says so.
 //
 // Where the CSR fits in memory (n <= 18 here), the same workload also runs
 // through the materialised graph and every row asserts bit-identity —
@@ -44,6 +45,7 @@
 #include "mm/oracle.hpp"
 #include "topology/registry.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace mmdiag::bench {
@@ -80,7 +82,7 @@ struct ScaleRow {
 int run(bool smoke, const std::string& out_path) {
   // Ascending so the peak-RSS column of each row is not inflated by a
   // bigger instance that ran before it. The CSR cross-check is capped at
-  // n = 18 (~40 MB of adjacency) to keep the run minutes, not hours;
+  // n = 18 (~30 MB of adjacency) to keep the run minutes, not hours;
   // hypercube 21 keeps a multi-million-node solve on record.
   const std::vector<ScaleRow> rows =
       smoke ? std::vector<ScaleRow>{{"hypercube 16", true}}
@@ -91,6 +93,7 @@ int run(bool smoke, const std::string& out_path) {
                                     {"hypercube 20", false},
                                     {"hypercube 21", false}};
   const std::size_t syndromes = smoke ? 2 : 4;
+  ThreadPool pool;  // hardware_concurrency lanes, as the engine defaults
 
   JsonBenchReport report("bench_scale");
   report.set_meta("smoke", JsonValue::boolean(smoke));
@@ -98,6 +101,7 @@ int run(bool smoke, const std::string& out_path) {
   report.set_meta("calibration_scope",
                   JsonValue::str("all components (validate_all=true), as "
                                  "DiagnosisEngine serves"));
+  report.set_meta("calibration_lanes", JsonValue::num(pool.size()));
   report.set_meta("syndrome",
                   JsonValue::str("synthetic syndrome, not held in memory "
                                  "(lazy oracle on every row)"));
@@ -125,7 +129,7 @@ int run(bool smoke, const std::string& out_path) {
     // views.
     const Timer cal_timer;
     const CertifiedPartition partition = find_certified_partition(
-        *topo, view, delta, ParentRule::kSpread, /*validate_all=*/true);
+        *topo, view, delta, ParentRule::kSpread, /*validate_all=*/true, &pool);
     const double calibration_seconds = cal_timer.seconds();
 
     Diagnoser diagnoser(view, partition, DiagnoserOptions{});
@@ -164,10 +168,11 @@ int run(bool smoke, const std::string& out_path) {
     bool identical = true;
     std::uint64_t csr_bytes = view.csr_bytes_estimate();
     if (row.csr_check) {
-      const Graph graph = topo->build_graph();
+      const Graph graph = topo->build_graph(&pool);
       csr_bytes = graph.memory_bytes();
-      const CertifiedPartition csr_partition = find_certified_partition(
-          *topo, graph, delta, ParentRule::kSpread, /*validate_all=*/true);
+      const CertifiedPartition csr_partition =
+          find_certified_partition(*topo, graph, delta, ParentRule::kSpread,
+                                   /*validate_all=*/true, &pool);
       Diagnoser csr_diagnoser(graph, csr_partition, DiagnoserOptions{});
       for (std::size_t i = 0; i < syndromes; ++i) {
         const LazyOracle oracle(graph, faults[i], kBehaviors[i % 4], i);

@@ -99,6 +99,8 @@ assert report["calibration_scope"].startswith("all components"), \
     f"bench_scale calibrates a scope the engine does not serve: {report}"
 assert report["syndrome"].startswith("synthetic"), \
     "bench_scale lost its synthetic-syndrome label"
+assert report["calibration_lanes"] >= 1, \
+    f"bench_scale does not record its calibration lanes: {report}"
 assert any(r["nodes"] >= 65536 for r in rows), \
     "no row reached 2^16 nodes: the scale path never scaled"
 for r in rows:
@@ -258,19 +260,22 @@ cmake --build build-asan -j
 echo "asan smoke: every suite clean under -fsanitize=address"
 
 # TSan over the suites that share state across threads: serve() lanes and
-# the calibration cache (engine_test, batch_test) and churn racing
-# in-flight serves (churn_test).
+# the calibration cache (engine_test, batch_test), component probes on
+# pool lanes (certified_partition_test) and churn racing in-flight serves
+# (churn_test).
 cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
   -DMMDIAG_BUILD_EXAMPLES=OFF -DMMDIAG_BUILD_BENCH=OFF \
   "$@"
-cmake --build build-tsan -j --target engine_test batch_test churn_test
+cmake --build build-tsan -j --target engine_test batch_test churn_test \
+  certified_partition_test
 ./build-tsan/tests/engine_test
 ./build-tsan/tests/batch_test
+./build-tsan/tests/certified_partition_test
 ./build-tsan/tests/churn_test
-echo "tsan smoke: engine, batch and churn suites clean under" \
-     "-fsanitize=thread"
+echo "tsan smoke: engine, batch, certified-partition and churn suites" \
+     "clean under -fsanitize=thread"
 
 # Release build of every target: -O3 enables optimiser-driven warnings
 # (GCC's -Wrestrict, -Wstringop-*) that the default RelWithDebInfo -O2

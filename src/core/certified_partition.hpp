@@ -28,6 +28,8 @@
 
 namespace mmdiag {
 
+class ThreadPool;
+
 /// Raised when no partition plan of a topology can support fault bound δ
 /// (e.g. S_{n,2} and A_{n,2}, whose components are cliques — see DESIGN.md).
 class DiagnosisUnsupportedError : public std::runtime_error {
@@ -47,17 +49,24 @@ struct CertifiedPartition {
 /// Find the finest plan certifying fault bound `delta` under `rule`.
 /// validate_all=false checks only component 0 (sufficient for families whose
 /// components are pairwise isomorphic); true checks every component.
+///
+/// With a pool, the components of a plan are probed on its lanes, one
+/// SetBuilder per lane in use; null means one inline lane. The accepted
+/// plan, calibration_lookups, fully_validated and every rejection message
+/// are those of the serial walk at every lane count.
 [[nodiscard]] CertifiedPartition find_certified_partition(
     const Topology& topology, const Graph& graph, unsigned delta,
-    ParentRule rule = ParentRule::kSpread, bool validate_all = true);
+    ParentRule rule = ParentRule::kSpread, bool validate_all = true,
+    ThreadPool* pool = nullptr);
 
 /// Implicit-view calibration: identical walk, identical accepted plan and
 /// calibration look-ups (the builder consults the same fault-free tests in
-/// the same order), but no edge is ever materialised — O(N) bits of builder
-/// scratch is the whole footprint.
+/// the same order), but no edge is ever materialised — O(N) bits of scratch
+/// per builder is the whole footprint.
 [[nodiscard]] CertifiedPartition find_certified_partition(
     const Topology& topology, const ImplicitGraph& graph, unsigned delta,
-    ParentRule rule = ParentRule::kSpread, bool validate_all = true);
+    ParentRule rule = ParentRule::kSpread, bool validate_all = true,
+    ThreadPool* pool = nullptr);
 
 /// True iff the single component `comp` of `plan` certifies when fault-free.
 [[nodiscard]] bool component_certifies(const Graph& graph,

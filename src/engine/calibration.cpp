@@ -8,7 +8,8 @@ namespace mmdiag {
 
 std::shared_ptr<const Calibration> build_calibration(
     std::unique_ptr<const Topology> topology, unsigned delta, ParentRule rule,
-    bool validate_all, GraphMode mode, DiagnosisModel model) {
+    bool validate_all, GraphMode mode, DiagnosisModel model,
+    ThreadPool* pool) {
   if (!topology) {
     throw std::invalid_argument("build_calibration: null topology");
   }
@@ -35,7 +36,7 @@ std::shared_ptr<const Calibration> build_calibration(
     calibration->spec = topology->spec();
     calibration->topology = std::move(topology);
     calibration->model = model;
-    calibration->graph = calibration->topology->build_graph();
+    calibration->graph = calibration->topology->build_graph(pool);
     calibration->partition.delta = delta;
     calibration->partition.rule = rule;
     calibration->build_seconds = timer.seconds();
@@ -54,11 +55,12 @@ std::shared_ptr<const Calibration> build_calibration(
     calibration->partition =
         find_certified_partition(*calibration->topology,
                                  *calibration->implicit_view, delta, rule,
-                                 validate_all);
+                                 validate_all, pool);
   } else {
-    calibration->graph = calibration->topology->build_graph();
-    calibration->partition = find_certified_partition(
-        *calibration->topology, calibration->graph, delta, rule, validate_all);
+    calibration->graph = calibration->topology->build_graph(pool);
+    calibration->partition =
+        find_certified_partition(*calibration->topology, calibration->graph,
+                                 delta, rule, validate_all, pool);
   }
   calibration->build_seconds = timer.seconds();
   return calibration;

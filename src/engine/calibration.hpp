@@ -99,9 +99,14 @@ struct Calibration {
 /// graph (directed solvers read adjacency both ways; `mode` must not be
 /// kImplicit, throws std::invalid_argument) and records delta/rule in an
 /// uncertified partition.
+///
+/// `pool` lends its lanes to the CSR build and the component probes (null
+/// means the calling thread alone); the bundle is the same at every lane
+/// count. A busy pool runs the work inline on the calling thread.
 [[nodiscard]] std::shared_ptr<const Calibration> build_calibration(
     std::unique_ptr<const Topology> topology, unsigned delta, ParentRule rule,
     bool validate_all, GraphMode mode = GraphMode::kCsr,
-    DiagnosisModel model = DiagnosisModel::kMMStar);
+    DiagnosisModel model = DiagnosisModel::kMMStar,
+    ThreadPool* pool = nullptr);
 
 }  // namespace mmdiag

@@ -208,7 +208,8 @@ std::shared_ptr<const Calibration> DiagnosisEngine::get_or_build(
 
   std::shared_ptr<const Calibration> built = build_calibration(
       std::move(resolved.topology), resolved.delta, rule, validate_all,
-      resolved.implicit ? GraphMode::kImplicit : GraphMode::kCsr, model);
+      resolved.implicit ? GraphMode::kImplicit : GraphMode::kCsr, model,
+      &pool_);
   {
     const std::lock_guard<std::mutex> lock(mu_);
     lru_.push_front(Entry{resolved.key, built});

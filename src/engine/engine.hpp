@@ -13,7 +13,11 @@
 //     when a caller departs from the engine defaults;
 //   - per-key striped build locks: concurrent misses on the same key
 //     calibrate exactly once (the losers block, then reuse the winner's
-//     bundle), while misses on different keys calibrate in parallel;
+//     bundle), while misses on different keys calibrate side by side;
+//   - one cold calibration uses every lane of the engine's ThreadPool (the
+//     CSR build and the component probes); a miss taken inside a serve()
+//     lane, or while another caller holds the pool, calibrates inline on
+//     its own thread, with the same bundle either way;
 //   - eviction safety by construction: entries are shared_ptr, so a bundle
 //     evicted mid-flight stays alive for every Diagnoser still holding it;
 //   - serve(): the one batch path. A mixed-spec request stream fanned over
@@ -229,7 +233,7 @@ class DiagnosisEngine {
   static constexpr std::size_t kStripes = 16;
   std::array<std::mutex, kStripes> stripes_;
 
-  std::mutex serve_mu_;  // parallel_for is not reentrant
+  std::mutex serve_mu_;  // one serve() at a time owns lane_scratch_
   /// lane_scratch_[lane] maps calibration -> that lane's driver; touched
   /// only by lane `lane` inside serve()'s parallel_for. A calibration is
   /// MM* or directed (the model is in its cache key), so exactly one of

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace mmdiag {
 
@@ -14,7 +15,14 @@ Graph::Graph(std::vector<EdgeIndex> offsets, std::vector<Node> neighbors)
   const std::size_t n = offsets_.size() - 1;
   min_degree_ = n == 0 ? 0 : ~0u;
   for (std::size_t u = 0; u < n; ++u) {
-    const auto deg = static_cast<unsigned>(offsets_[u + 1] - offsets_[u]);
+    const EdgeIndex deg64 = offsets_[u + 1] - offsets_[u];
+    if (deg64 > kMaxDegree) {
+      throw std::invalid_argument("Graph: node " + std::to_string(u) +
+                                  " has degree " + std::to_string(deg64) +
+                                  ", above the supported " +
+                                  std::to_string(kMaxDegree));
+    }
+    const auto deg = static_cast<unsigned>(deg64);
     max_degree_ = std::max(max_degree_, deg);
     min_degree_ = std::min(min_degree_, deg);
     if (!std::is_sorted(neighbors_.begin() + static_cast<std::ptrdiff_t>(offsets_[u]),
@@ -43,7 +51,7 @@ Graph::Graph(std::vector<EdgeIndex> offsets, std::vector<Node> neighbors)
           neighbors_[offsets_[v] + q] != static_cast<Node>(u)) {
         throw std::invalid_argument("Graph: adjacency not symmetric");
       }
-      mirror_pos_[e] = q;
+      mirror_pos_[e] = static_cast<MirrorPos>(q);
     }
   }
 }

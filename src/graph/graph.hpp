@@ -16,8 +16,16 @@ namespace mmdiag {
 
 class Graph {
  public:
+  /// A mirror position is an index into one adjacency list. 16 bits halve
+  /// the mirror table (every registry family has degree <= 64); the
+  /// constructor rejects graphs whose degree does not fit.
+  using MirrorPos = std::uint16_t;
+  static constexpr unsigned kMaxDegree = 65535;
+
   Graph() = default;
   /// offsets.size() == n+1; neighbors sorted ascending within each node.
+  /// Throws std::invalid_argument on malformed, unsorted or asymmetric
+  /// adjacency, or on a degree above kMaxDegree.
   Graph(std::vector<EdgeIndex> offsets, std::vector<Node> neighbors);
 
   [[nodiscard]] std::size_t num_nodes() const noexcept {
@@ -62,7 +70,7 @@ class Graph {
   }
 
   /// All mirror positions of u, aligned with neighbors(u).
-  [[nodiscard]] std::span<const std::uint32_t> mirror_positions(Node u) const noexcept {
+  [[nodiscard]] std::span<const MirrorPos> mirror_positions(Node u) const noexcept {
     if (offsets_.size() <= 1) return {};
     return {mirror_pos_.data() + offsets_[u],
             mirror_pos_.data() + offsets_[u + 1]};
@@ -74,13 +82,13 @@ class Graph {
 
   [[nodiscard]] std::uint64_t memory_bytes() const noexcept {
     return offsets_.size() * sizeof(EdgeIndex) + neighbors_.size() * sizeof(Node) +
-           mirror_pos_.size() * sizeof(std::uint32_t);
+           mirror_pos_.size() * sizeof(MirrorPos);
   }
 
  private:
   std::vector<EdgeIndex> offsets_;
   std::vector<Node> neighbors_;
-  std::vector<std::uint32_t> mirror_pos_;  // aligned with neighbors_
+  std::vector<MirrorPos> mirror_pos_;  // aligned with neighbors_
   unsigned max_degree_ = 0;
   unsigned min_degree_ = 0;
 };
@@ -91,7 +99,7 @@ class Graph {
 [[nodiscard]] constexpr std::uint64_t csr_memory_bytes_estimate(
     std::uint64_t num_nodes, unsigned degree) noexcept {
   return (num_nodes + 1) * sizeof(EdgeIndex) +
-         num_nodes * degree * (sizeof(Node) + sizeof(std::uint32_t));
+         num_nodes * degree * (sizeof(Node) + sizeof(Graph::MirrorPos));
 }
 
 }  // namespace mmdiag

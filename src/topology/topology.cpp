@@ -28,10 +28,10 @@ std::string Topology::spec() const {
   return out;
 }
 
-Graph Topology::build_graph() const {
+Graph Topology::build_graph(ThreadPool* pool) const {
   return build_graph_from_generator(
       static_cast<std::size_t>(info().num_nodes),
-      [this](Node u, std::vector<Node>& out) { neighbors(u, out); });
+      [this](Node u, std::vector<Node>& out) { neighbors(u, out); }, pool);
 }
 
 unsigned Topology::degree(Node /*u*/) const { return info().degree; }

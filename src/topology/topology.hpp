@@ -18,6 +18,8 @@
 
 namespace mmdiag {
 
+class ThreadPool;
+
 struct TopologyInfo {
   std::string name;            // instance name, e.g. "Q7", "CQ8", "S(7,3)"
   std::string family;          // family key, e.g. "hypercube"
@@ -62,8 +64,10 @@ class Topology {
     return info().diagnosability;
   }
 
-  /// Materialise the adjacency as a CSR graph (validates symmetry).
-  [[nodiscard]] Graph build_graph() const;
+  /// Materialise the adjacency as a CSR graph (validates symmetry). With a
+  /// pool, blocks of nodes are generated on its lanes; the graph is the
+  /// same at every lane count.
+  [[nodiscard]] Graph build_graph(ThreadPool* pool = nullptr) const;
 
   /// Convenience: neighbours as a fresh vector.
   [[nodiscard]] std::vector<Node> neighbors(Node u) const {

@@ -60,11 +60,18 @@ void ThreadPool::worker_loop(unsigned lane) {
 void ThreadPool::parallel_for(
     std::size_t count, const std::function<void(unsigned, std::size_t)>& fn) {
   if (count == 0) return;
-  if (workers_.empty()) {
-    // Sequential fast path: no atomics, no signalling.
+  if (count == 1 || workers_.empty() ||
+      claimed_.exchange(true, std::memory_order_acquire)) {
+    // One item (waking lanes would only add latency), a 1-lane pool, or
+    // the slot is held (by an enclosing job of this pool or by another
+    // caller): run inline, no signalling.
     for (std::size_t i = 0; i < count; ++i) fn(0, i);
     return;
   }
+  struct Release {
+    std::atomic<bool>& claimed;
+    ~Release() { claimed.store(false, std::memory_order_release); }
+  } const release{claimed_};
   {
     const std::lock_guard<std::mutex> lock(mu_);
     job_ = &fn;

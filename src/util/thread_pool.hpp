@@ -6,6 +6,11 @@
 // worker 0, which makes a 1-thread pool run the loop inline with zero
 // synchronisation — the sequential baseline every speedup is measured
 // against is therefore exactly the sequential code path.
+//
+// The pool has one job slot. A parallel_for that finds it taken — called
+// from inside one of this pool's own lanes, or from another thread while a
+// job is in flight — runs its loop inline on the calling thread instead of
+// waiting, so nested and concurrent callers can never deadlock on it.
 #pragma once
 
 #include <atomic>
@@ -37,7 +42,9 @@ class ThreadPool {
   /// lanes; lane is in [0, size()) and identifies the executing thread, so
   /// callers may index per-lane scratch. Blocks until every index has run.
   /// The first exception thrown by fn is rethrown here (remaining indices
-  /// are still drained so no lane blocks).
+  /// are still drained so no lane blocks). A single item, or a call made
+  /// while the pool is busy, runs inline on the calling thread as lane 0,
+  /// so callers must key per-lane scratch to this call, not to the thread.
   void parallel_for(std::size_t count,
                     const std::function<void(unsigned, std::size_t)>& fn);
 
@@ -57,6 +64,7 @@ class ThreadPool {
   bool stopping_ = false;
   std::exception_ptr first_error_;
 
+  std::atomic<bool> claimed_{false};  // a caller holds the job slot
   std::atomic<std::size_t> next_index_{0};
   std::atomic<bool> has_error_{false};
 };

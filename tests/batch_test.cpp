@@ -7,6 +7,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/diagnoser.hpp"
@@ -101,6 +102,56 @@ TEST(ThreadPool, ReusableAcrossManyJobs) {
     std::atomic<std::uint64_t> sum{0};
     pool.parallel_for(101, [&](unsigned, std::size_t i) { sum += i; });
     ASSERT_EQ(sum.load(), 101u * 100u / 2u);
+  }
+}
+
+TEST(ThreadPool, NestedCallFromALaneRunsInline) {
+  // A lane that calls parallel_for on its own pool finds the job slot held
+  // and runs the inner loop on its own thread instead of deadlocking.
+  ThreadPool pool(4);
+  constexpr std::size_t kOuter = 16, kInner = 50;
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  std::atomic<int> inner_off_thread{0};
+  pool.parallel_for(kOuter, [&](unsigned, std::size_t i) {
+    const std::thread::id me = std::this_thread::get_id();
+    pool.parallel_for(kInner, [&](unsigned lane, std::size_t j) {
+      if (lane != 0 || std::this_thread::get_id() != me) ++inner_off_thread;
+      hits[i * kInner + j].fetch_add(1, std::memory_order_relaxed);
+    });
+  });
+  EXPECT_EQ(inner_off_thread.load(), 0);
+  for (std::size_t k = 0; k < hits.size(); ++k) {
+    ASSERT_EQ(hits[k].load(), 1) << "index " << k;
+  }
+}
+
+TEST(ThreadPool, ConcurrentCallersBothFinish) {
+  // Two threads share one pool: one gets the lanes, the other runs inline
+  // (or gets the lanes after the first releases them). Either way both
+  // finish and every index of both jobs runs exactly once.
+  ThreadPool pool(4);
+  constexpr std::size_t kCount = 20000;
+  constexpr int kRounds = 20;
+  std::vector<std::atomic<int>> hits[2] = {
+      std::vector<std::atomic<int>>(kCount),
+      std::vector<std::atomic<int>>(kCount)};
+  std::atomic<int> ready{0};
+  const auto caller = [&](int who) {
+    ++ready;
+    while (ready.load() < 2) std::this_thread::yield();
+    for (int round = 0; round < kRounds; ++round) {
+      pool.parallel_for(kCount, [&](unsigned, std::size_t i) {
+        hits[who][i].fetch_add(1, std::memory_order_relaxed);
+      });
+    }
+  };
+  std::thread a(caller, 0), b(caller, 1);
+  a.join();
+  b.join();
+  for (const auto& job : hits) {
+    for (std::size_t i = 0; i < kCount; ++i) {
+      ASSERT_EQ(job[i].load(), kRounds) << "index " << i;
+    }
   }
 }
 

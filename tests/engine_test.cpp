@@ -381,6 +381,123 @@ TEST(DiagnosisEngine, CalibratesOncePerKeyUnderRacingMisses) {
   EXPECT_EQ(counters.entries, std::size(specs));
 }
 
+/// What a calibration decided, for comparing engines of different widths.
+void expect_same_calibration(const Calibration& expected,
+                             const Calibration& actual) {
+  EXPECT_EQ(expected.partition.plan->description(),
+            actual.partition.plan->description());
+  EXPECT_EQ(expected.partition.calibration_lookups,
+            actual.partition.calibration_lookups);
+  EXPECT_EQ(expected.partition.fully_validated,
+            actual.partition.fully_validated);
+  EXPECT_EQ(expected.graph.memory_bytes(), actual.graph.memory_bytes());
+}
+
+TEST(DiagnosisEngine, ColdCalibrationInsideServeLanesMatchesOneLane) {
+  // Both specs are cold when serve() starts, so their calibrations are
+  // built inside pool lanes — a 64-wide cohort lane for hypercube 10 and
+  // scalar lanes for star 6 — where the pool is already busy. They must
+  // complete inline and agree with a 1-lane engine bit for bit.
+  test::Instance cube("hypercube 10");
+  test::Instance star("star 6");
+  std::vector<Syndrome> syndromes;
+  syndromes.reserve(BitSlicedOracle::kMaxLanes);
+  for (std::size_t i = 0; i < BitSlicedOracle::kMaxLanes; ++i) {
+    Rng rng(500 + i);
+    const FaultSet faults(cube.graph.num_nodes(),
+                          inject_uniform(cube.graph.num_nodes(), i % 10, rng));
+    syndromes.push_back(
+        generate_syndrome(cube.graph, faults, FaultyBehavior::kRandom, i));
+  }
+  std::vector<TableOracle> tables;
+  tables.reserve(syndromes.size());
+  std::vector<FaultSet> star_faults;
+  std::vector<LazyOracle> lazies;
+  star_faults.reserve(6);
+  lazies.reserve(6);
+  std::vector<EngineRequest> requests;
+  for (std::size_t i = 0; i < syndromes.size(); ++i) {
+    tables.emplace_back(cube.graph, syndromes[i]);
+    requests.push_back(EngineRequest{"hypercube 10", &tables.back()});
+    if (i % 11 == 0) {
+      Rng rng(900 + i);
+      star_faults.emplace_back(
+          star.graph.num_nodes(),
+          inject_uniform(star.graph.num_nodes(), i % 5, rng));
+      lazies.emplace_back(star.graph, star_faults.back(),
+                          FaultyBehavior::kRandom, i);
+      requests.push_back(EngineRequest{"star 6", &lazies.back()});
+    }
+  }
+
+  EngineOptions options;
+  options.threads = 1;
+  DiagnosisEngine single(options);
+  options.threads = 4;
+  DiagnosisEngine wide(options);
+  const std::vector<DiagnosisResult> expected = single.serve(requests);
+  const std::vector<DiagnosisResult> served = wide.serve(requests);
+  EXPECT_EQ(wide.counters().misses, 2u);
+  ASSERT_EQ(served.size(), expected.size());
+  for (std::size_t i = 0; i < served.size(); ++i) {
+    ASSERT_TRUE(expected[i].success) << expected[i].failure_reason;
+    expect_bit_identical(expected[i], served[i], i);
+  }
+  for (const char* spec : {"hypercube 10", "star 6"}) {
+    SCOPED_TRACE(spec);
+    expect_same_calibration(*single.calibration(spec), *wide.calibration(spec));
+  }
+}
+
+TEST(DiagnosisEngine, ConcurrentColdDiagnosesMatchOneLane) {
+  // Four threads each miss a different cold spec at once. One calibration
+  // gets the pool's lanes and the others run inline on their own threads;
+  // results, look-ups and calibrations equal a 1-lane engine's.
+  const char* specs[] = {"hypercube 9", "star 6", "kary_ncube 4 4",
+                         "pancake 6"};
+  constexpr std::size_t kSpecs = std::size(specs);
+  std::vector<std::unique_ptr<test::Instance>> insts;
+  std::vector<FaultSet> faults;
+  std::vector<LazyOracle> oracles;
+  faults.reserve(kSpecs);
+  oracles.reserve(kSpecs);
+  for (std::size_t k = 0; k < kSpecs; ++k) {
+    insts.push_back(std::make_unique<test::Instance>(specs[k]));
+    const std::size_t n = insts.back()->graph.num_nodes();
+    Rng rng(70 + k);
+    faults.emplace_back(n, inject_uniform(n, 3, rng));
+    oracles.emplace_back(insts.back()->graph, faults.back(),
+                         FaultyBehavior::kRandom, k);
+  }
+  EngineOptions options;
+  options.threads = 1;
+  DiagnosisEngine single(options);
+  options.threads = 4;
+  DiagnosisEngine wide(options);
+
+  std::vector<DiagnosisResult> served(kSpecs);
+  std::atomic<std::size_t> ready{0};
+  std::vector<std::thread> callers;
+  for (std::size_t k = 0; k < kSpecs; ++k) {
+    callers.emplace_back([&, k] {
+      ++ready;
+      while (ready.load() < kSpecs) std::this_thread::yield();
+      served[k] = wide.diagnose(specs[k], oracles[k]);
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(wide.counters().misses, kSpecs);
+  for (std::size_t k = 0; k < kSpecs; ++k) {
+    SCOPED_TRACE(specs[k]);
+    const DiagnosisResult expected = single.diagnose(specs[k], oracles[k]);
+    ASSERT_TRUE(expected.success) << expected.failure_reason;
+    EXPECT_FALSE(served[k].calibration_reused);
+    expect_bit_identical(expected, served[k], k);
+    expect_same_calibration(*single.calibration(specs[k]),
+                            *wide.calibration(specs[k]));
+  }
+}
+
 TEST(DiagnosisEngine, LruEvictionOrderAndRebuild) {
   const std::string a = "hypercube 7", b = "star 5", c = "kary_ncube 4 4";
   EngineOptions options;

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "graph/builder.hpp"
 #include "graph/dot.hpp"
 #include "graph/graph.hpp"
 #include "graph/traversal.hpp"
+#include "topology/registry.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mmdiag {
 namespace {
@@ -99,11 +104,79 @@ TEST(GraphBuilder, RejectsSelfLoopsAndDuplicates) {
 }
 
 TEST(GraphBuilder, GeneratorValidatesSymmetry) {
-  // Asymmetric generator: 0 -> 1 but 1 -> {}.
+  // Asymmetric generator: 0 -> 1 but 1 -> {}. The Graph constructor's
+  // mirror pass is the one symmetry check.
   auto bad = [](Node u, std::vector<Node>& out) {
     if (u == 0) out.push_back(1);
   };
-  EXPECT_THROW((void)build_graph_from_generator(2, bad), std::logic_error);
+  EXPECT_THROW((void)build_graph_from_generator(2, bad), std::invalid_argument);
+  ThreadPool pool(4);
+  EXPECT_THROW((void)build_graph_from_generator(2, bad, &pool),
+               std::invalid_argument);
+}
+
+TEST(GraphBuilder, GeneratorReportsTheLowestBadNodeAtEveryLaneCount) {
+  // A 12000-node cycle whose generator repeats a neighbour at node 9000
+  // and at node 5000, in different blocks: whichever block fails first in
+  // time, the error must name node 5000.
+  auto gen = [](Node u, std::vector<Node>& out) {
+    constexpr Node kNodes = 12000;
+    out.push_back((u + 1) % kNodes);
+    out.push_back((u + kNodes - 1) % kNodes);
+    if (u == 5000 || u == 9000) out.push_back(out.front());
+  };
+  ThreadPool one(1), four(4);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one, &four}) {
+    try {
+      (void)build_graph_from_generator(12000, gen, pool);
+      FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "generator produced duplicate neighbour at node 5000")
+          << (pool ? pool->size() : 0) << " lanes";
+    }
+  }
+}
+
+TEST(GraphBuilder, ParallelBuildEqualsSerialBuild) {
+  ThreadPool pool(4);
+  for (const char* spec : {"star 7", "hypercube 14"}) {
+    SCOPED_TRACE(spec);
+    const auto topo = make_topology_from_spec(spec);
+    const Graph serial = topo->build_graph();
+    const Graph parallel = topo->build_graph(&pool);
+    ASSERT_EQ(serial.num_nodes(), parallel.num_nodes());
+    ASSERT_EQ(serial.memory_bytes(), parallel.memory_bytes());
+    for (Node u = 0; u < serial.num_nodes(); ++u) {
+      const auto a = serial.neighbors(u);
+      const auto b = parallel.neighbors(u);
+      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << u;
+      const auto ma = serial.mirror_positions(u);
+      const auto mb = parallel.mirror_positions(u);
+      ASSERT_TRUE(std::equal(ma.begin(), ma.end(), mb.begin(), mb.end())) << u;
+    }
+  }
+}
+
+TEST(GraphBuilder, RejectsDegreesBeyondTheMirrorWidth) {
+  // Mirror positions are 16 bits wide: K_{1,65535} is the largest star the
+  // CSR holds, K_{1,65536} is refused before any position could wrap.
+  for (const std::size_t leaves : {std::size_t{65535}, std::size_t{65536}}) {
+    std::vector<std::pair<Node, Node>> edges;
+    for (std::size_t v = 1; v <= leaves; ++v) {
+      edges.emplace_back(0, static_cast<Node>(v));
+    }
+    if (leaves <= Graph::kMaxDegree) {
+      const Graph g = build_graph_from_edges(leaves + 1, edges);
+      EXPECT_EQ(g.max_degree(), leaves);
+      EXPECT_EQ(g.mirror_position(0, static_cast<unsigned>(leaves - 1)), 0u);
+      EXPECT_EQ(g.mirror_position(static_cast<Node>(leaves), 0),
+                static_cast<unsigned>(leaves - 1));
+    } else {
+      EXPECT_THROW((void)build_graph_from_edges(leaves + 1, edges),
+                   std::invalid_argument);
+    }
+  }
 }
 
 TEST(GraphBuilder, GeneratorBuildsCycle) {

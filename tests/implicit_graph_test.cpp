@@ -83,6 +83,10 @@ TEST(ImplicitGraph, FootprintIsConstantAndTiny) {
   EXPECT_EQ(b.csr_bytes_estimate(),
             csr_memory_bytes_estimate(large.topo->info().num_nodes,
                                       large.topo->info().degree));
+  // The estimate is what the CSR it stands in for really holds: 8 bytes
+  // per offset, 4 per neighbour id and 2 per mirror position.
+  EXPECT_EQ(large.graph.memory_bytes(), b.csr_bytes_estimate());
+  EXPECT_EQ(b.csr_bytes_estimate(), (1024u + 1) * 8 + 1024u * 10 * (4 + 2));
 }
 
 // No registry family reaches degree > 64 inside the 32-bit id space, so the
