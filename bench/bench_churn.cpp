@@ -147,26 +147,6 @@ RowStats run_timed_row(DiagnosisEngine& engine, const Family& family,
   churn.apply({ChurnOp::kRepairNode, static_cast<Node>(n - 2), 0});
 
   const std::uint64_t behavior_seed = mix64(0xC4u, family.spec.size());
-  auto make_oracle = [&](const FaultSet& faults)
-      -> std::unique_ptr<SyndromeOracle> {
-    if (cal.is_implicit()) {
-      return std::make_unique<ImplicitLazyOracle>(
-          *cal.implicit_view, faults, FaultyBehavior::kRandom, behavior_seed);
-    }
-    return std::make_unique<LazyOracle>(cal.graph, faults,
-                                        FaultyBehavior::kRandom,
-                                        behavior_seed);
-  };
-  auto neighbors_of = [&](Node u) {
-    std::vector<Node> out;
-    if (cal.is_implicit()) {
-      const auto nbrs = cal.implicit_view->neighbors(u);
-      out.assign(nbrs.begin(), nbrs.end());
-    } else {
-      for (const Node w : cal.graph.neighbors(u)) out.push_back(w);
-    }
-    return out;
-  };
 
   // Base faults at low (live) ids; one toggle node flips per round. The
   // changed-row set of a toggle is the node plus its base neighbourhood —
@@ -177,14 +157,16 @@ RowStats run_timed_row(DiagnosisEngine& engine, const Family& family,
     base_faults.push_back(u);
   }
   const Node toggle = 0;
-  std::vector<Node> changed = neighbors_of(toggle);
+  const auto toggle_nbrs = cal.graph.neighbors(toggle);
+  std::vector<Node> changed(toggle_nbrs.begin(), toggle_nbrs.end());
   changed.push_back(toggle);
 
   // Prime the solve cache with the base fault set.
   {
     const FaultSet faults(n, base_faults);
-    const auto oracle = make_oracle(faults);
-    (void)churn.diagnose(*oracle);
+    const LazyOracle oracle(cal.graph, faults, FaultyBehavior::kRandom,
+                            behavior_seed);
+    (void)churn.diagnose(oracle);
   }
 
   const bool flip = traffic == TimedTraffic::kFlip;
@@ -196,15 +178,16 @@ RowStats run_timed_row(DiagnosisEngine& engine, const Family& family,
     std::vector<Node> fault_list = base_faults;
     if (flip && round % 2 == 0) fault_list.push_back(toggle);
     const FaultSet faults(n, fault_list);
-    const auto oracle = make_oracle(faults);
+    const LazyOracle oracle(cal.graph, faults, FaultyBehavior::kRandom,
+                            behavior_seed);
 
     Timer warm_timer;
     const ChurnDiagnosis warm =
-        churn.diagnose_delta(*oracle, flip ? changed : no_rows_changed);
+        churn.diagnose_delta(oracle, flip ? changed : no_rows_changed);
     warm_seconds += warm_timer.seconds();
 
     Timer cold_timer;
-    const ChurnDiagnosis cold = churn.diagnose_cold(*oracle);
+    const ChurnDiagnosis cold = churn.diagnose_cold(oracle);
     cold_seconds += cold_timer.seconds();
 
     all_identical = all_identical && identical(warm, cold);
@@ -217,7 +200,7 @@ RowStats run_timed_row(DiagnosisEngine& engine, const Family& family,
       {"mode", JsonValue::str(flip ? "timed-flip" : "timed-repeat")},
       {"spec", JsonValue::str(family.spec)},
       {"delta", JsonValue::num(std::uint64_t{delta})},
-      {"oracle", JsonValue::str(cal.is_implicit() ? "implicit-lazy" : "lazy")},
+      {"oracle", JsonValue::str("lazy")},
       {"nodes", JsonValue::num(n)},
       {"components", JsonValue::num(std::uint64_t{churn.num_components()})},
       {"rounds", JsonValue::num(family.rounds)},
@@ -230,7 +213,7 @@ RowStats run_timed_row(DiagnosisEngine& engine, const Family& family,
   });
   table().add_row(
       {flip ? "timed-flip" : "timed-repeat", family.spec,
-       cal.is_implicit() ? "implicit" : "lazy",
+       "lazy",
        Table::num(family.rounds), "-", "-", "-", Table::num(warm_lookups),
        Table::num(cold_lookups), Table::num(warm_seconds * 1e3, 2),
        Table::num(cold_seconds * 1e3, 2), Table::num(speedup, 1),

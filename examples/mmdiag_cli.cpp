@@ -9,14 +9,12 @@
 //       all-one | anti.
 //
 //   mmdiag_cli diagnose <file> [--verify] [--model m] [--local NODE]
-//              [--graph-mode csr|auto]
 //       Load a syndrome file (its model header picks the solver), run the
 //       diagnosis through the DiagnosisEngine, print the fault ids and the
 //       setup/solve split (and check full-syndrome consistency with
 //       --verify, MM* only). --model asserts the file's model. --local
 //       answers one node's status via the BGM neighbourhood-read fast
-//       path instead of a global solve. Syndrome files address rows
-//       through CSR adjacency, so --graph-mode implicit is a usage error.
+//       path instead of a global solve.
 //
 //   mmdiag_cli diagnose --batch <dir> [--threads N]
 //       Load every syndrome file in <dir> (anything not ending in .truth)
@@ -38,9 +36,8 @@
 //       Print the topology's constants, the diagnosis models it can be
 //       served under (with each model's solver and oracle family), and its
 //       certified partition under probe rule R (least-first | spread |
-//       least-sync | hash-spread). --memory adds the CSR footprint
-//       (estimated, never built, when the instance resolves to the
-//       implicit view) against ImplicitGraph's O(1) bytes.
+//       least-sync | hash-spread). --memory adds the bytes of the CSR
+//       graph every solver runs on.
 //
 //   mmdiag_cli fuzz [--cases N] [--seed S] [--model M] [--out-dir DIR] ...
 //   mmdiag_cli fuzz --replay FILE
@@ -100,12 +97,10 @@ int usage() {
                "[--model mm-star|pmc|bgm] "
                "[--behavior random|all-zero|all-one|anti] -o FILE\n"
             << "  mmdiag_cli diagnose FILE [--verify] "
-               "[--model mm-star|pmc|bgm] [--local NODE] "
-               "[--graph-mode csr|auto]\n"
-            << "  mmdiag_cli diagnose --batch DIR [--threads N] "
-               "[--graph-mode csr|auto]\n"
+               "[--model mm-star|pmc|bgm] [--local NODE]\n"
+            << "  mmdiag_cli diagnose --batch DIR [--threads N]\n"
             << "  mmdiag_cli serve --requests FILE [--threads N] "
-               "[--cache-capacity C] [--graph-mode csr|auto]\n"
+               "[--cache-capacity C]\n"
             << "  mmdiag_cli info <spec...> "
                "[--rule least-first|spread|least-sync|hash-spread] "
                "[--memory]\n"
@@ -141,29 +136,6 @@ bool parse_flag_value(const std::string& flag, const std::string& token,
 
 /// Threads beyond this are a typo, not a machine.
 constexpr std::uint64_t kMaxThreads = 4096;
-
-/// Shared handling of --graph-mode in the syndrome-file modes (diagnose,
-/// serve). File rows address the materialised CSR adjacency, so the
-/// implicit view can never host them — rejecting the combination here
-/// turns what would otherwise surface as a deep engine error into a plain
-/// usage diagnostic. auto resolves to csr (the only view files can use).
-bool parse_file_graph_mode(const std::string& token, GraphMode& out) {
-  GraphMode mode;
-  try {
-    mode = graph_mode_from_string(token);
-  } catch (const std::exception& e) {
-    std::cerr << e.what() << "\n";
-    return false;
-  }
-  if (mode == GraphMode::kImplicit) {
-    std::cerr << "--graph-mode implicit cannot serve syndrome files: file "
-                 "rows address the materialised CSR adjacency (use csr or "
-                 "auto)\n";
-    return false;
-  }
-  out = GraphMode::kCsr;
-  return true;
-}
 
 int cmd_generate(const std::vector<std::string>& args) {
   std::string spec, out_path;
@@ -348,8 +320,6 @@ int cmd_diagnose_batch(const std::string& dir, unsigned threads) {
   engine_options.threads = threads;
   // Room for every distinct spec, so each one calibrates exactly once.
   engine_options.cache_capacity = files.size();
-  // Syndrome files address rows through the materialised CSR layout.
-  engine_options.graph_mode = GraphMode::kCsr;
   DiagnosisEngine engine(engine_options);
   PinnedResolver resolve(engine);
   LoadedRequests loaded;
@@ -460,7 +430,6 @@ int cmd_diagnose(const std::vector<std::string>& args) {
   std::string path, batch_dir;
   bool verify = false;
   unsigned threads = 0;
-  GraphMode graph_mode = GraphMode::kCsr;
   DiagnosisModel expected_model = DiagnosisModel::kMMStar;
   bool have_expected_model = false;
   Node local_node = kNoNode;
@@ -474,8 +443,6 @@ int cmd_diagnose(const std::vector<std::string>& args) {
       if (!parse_flag_value("--threads", args[++i], kMaxThreads, threads)) {
         return usage();
       }
-    } else if (args[i] == "--graph-mode" && i + 1 < args.size()) {
-      if (!parse_file_graph_mode(args[++i], graph_mode)) return 2;
     } else if (args[i] == "--model" && i + 1 < args.size()) {
       expected_model = diagnosis_model_from_string(args[++i]);
       have_expected_model = true;
@@ -529,7 +496,6 @@ int cmd_diagnose(const std::vector<std::string>& args) {
 
   EngineOptions engine_options;
   engine_options.threads = 1;
-  engine_options.graph_mode = graph_mode;
   DiagnosisEngine engine(engine_options);
   PinnedResolver resolve(engine);
   std::istringstream body(buffer.str());
@@ -568,12 +534,9 @@ int cmd_serve(const std::vector<std::string>& args) {
   std::string requests_path;
   unsigned threads = 0;
   std::size_t cache_capacity = 8;
-  GraphMode graph_mode = GraphMode::kCsr;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--requests" && i + 1 < args.size()) {
       requests_path = args[++i];
-    } else if (args[i] == "--graph-mode" && i + 1 < args.size()) {
-      if (!parse_file_graph_mode(args[++i], graph_mode)) return 2;
     } else if (args[i] == "--threads" && i + 1 < args.size()) {
       if (!parse_flag_value("--threads", args[++i], kMaxThreads, threads)) {
         return usage();
@@ -612,7 +575,6 @@ int cmd_serve(const std::vector<std::string>& args) {
   EngineOptions engine_options;
   engine_options.threads = threads;
   engine_options.cache_capacity = cache_capacity;
-  engine_options.graph_mode = graph_mode;
   DiagnosisEngine engine(engine_options);
   PinnedResolver resolve(engine);
 
@@ -701,9 +663,6 @@ int cmd_info(const std::vector<std::string>& args) {
   if (spec.empty()) return usage();
   const auto topo = make_topology_from_spec(spec);
   const auto info = topo->info();
-  // The same auto rule the engine applies: large implicit-capable instances
-  // never materialise their CSR here — info stays O(N) memory at any size.
-  const bool implicit = resolve_implicit_mode(GraphMode::kAuto, info);
   std::cout << info.name << " (" << info.family << ")\n"
             << "  spec:           " << topo->spec() << "\n"
             << "  nodes:          " << info.num_nodes << "\n"
@@ -712,39 +671,20 @@ int cmd_info(const std::vector<std::string>& args) {
             << "  diagnosability: " << info.diagnosability << "\n"
             << "  fault bound:    " << topo->default_fault_bound() << "\n"
             << "  probe rule:     " << parent_rule_to_string(rule) << "\n"
-            << "  graph view:     " << (implicit ? "implicit" : "csr") << "\n"
             << "  models:\n"
             << "    mm-star       Diagnoser over the comparator matrix "
-               "(SyndromeOracle; csr or implicit view)\n"
+               "(SyndromeOracle)\n"
             << "    pmc           DirectedDiagnoser global solve "
-               "(DirectedOracle; csr only)\n"
+               "(DirectedOracle)\n"
             << "    bgm           DirectedDiagnoser + bgm_local_diagnose "
-               "fast path (DirectedOracle; csr only)\n";
-  Graph graph;
-  if (!implicit) graph = topo->build_graph();
+               "fast path (DirectedOracle)\n";
+  const Graph graph = topo->build_graph();
   if (show_memory) {
-    const std::uint64_t csr_bytes =
-        implicit ? csr_memory_bytes_estimate(info.num_nodes, info.degree)
-                 : graph.memory_bytes();
-    std::cout << "  memory:         csr " << csr_bytes << " B"
-              << (implicit ? " (estimated, not built)" : "");
-    if (info.degree <= ImplicitGraph::kMaxDegree &&
-        info.num_nodes <= static_cast<std::uint64_t>(kNoNode)) {
-      const ImplicitGraph view(*topo);
-      std::cout << " vs implicit " << view.memory_bytes() << " B";
-    }
-    std::cout << "\n";
+    std::cout << "  memory:         csr " << graph.memory_bytes() << " B\n";
   }
   try {
-    CertifiedPartition cp;
-    if (implicit) {
-      const ImplicitGraph view(*topo);
-      cp = find_certified_partition(*topo, view, topo->default_fault_bound(),
-                                    rule, true);
-    } else {
-      cp = find_certified_partition(*topo, graph, topo->default_fault_bound(),
-                                    rule, true);
-    }
+    const CertifiedPartition cp = find_certified_partition(
+        *topo, graph, topo->default_fault_bound(), rule, true);
     std::cout << "  partition:      " << cp.plan->description() << "\n";
   } catch (const DiagnosisUnsupportedError& e) {
     std::cout << "  partition:      UNSUPPORTED\n" << e.what();

@@ -3,7 +3,8 @@
 #   cmake -B build -S . && cmake --build build -j && cd build && ctest --output-on-failure -j
 # followed by a bench smoke (bench_batch on tiny instances must emit a
 # BENCH_batch.json that parses as JSON), an engine-cache smoke, the JSON
-# bench smokes (none needs google-benchmark), a UBSan pass, an ASan ctest
+# bench smokes (none needs google-benchmark), the request-level benchmark's
+# smoke, a UBSan pass, an ASan ctest
 # pass over every suite, a TSan pass over the multi-threaded suites, a
 # Release (-O3, -Werror) build and ctest of every target, and a fuzz smoke: 200
 # deterministic differential cases of the §5 driver against the exact
@@ -83,10 +84,9 @@ else
 fi
 
 if [ -x bench/bench_scale ]; then
-  # The scale smoke must show the implicit-topology path solving a >= 2^16
-  # node instance, calibrated as the engine serves it, inside a modest
-  # memory budget, bit-identical to the CSR view (the binary itself exits non-zero on divergence; the JSON fields
-  # are re-checked here so a reporting bug cannot mask one).
+  # The scale smoke must show the CSR path solving a >= 2^16 node
+  # instance, calibrated as the engine serves it, inside a modest memory
+  # budget.
   ./bench/bench_scale --smoke --out BENCH_scale.json
   if command -v python3 >/dev/null; then
     python3 - <<'PY'
@@ -104,16 +104,10 @@ assert report["calibration_lanes"] >= 1, \
 assert any(r["nodes"] >= 65536 for r in rows), \
     "no row reached 2^16 nodes: the scale path never scaled"
 for r in rows:
-    if r["csr_checked"]:
-        assert r["identical_to_csr"], \
-            f"implicit view diverged from the CSR view: {r}"
-    assert r["implicit_bytes"] < r["csr_bytes"], \
-        f"implicit view not smaller than CSR: {r}"
     assert r["peak_rss_kb"] < 262144, \
         f"scale smoke exceeded the 256 MB peak-RSS budget: {r}"
     assert r["calibration_seconds"] > 0, f"calibration was not timed: {r}"
-print(f"scale smoke: {len(rows)} rows, implicit view bit-identical to CSR "
-      "inside the peak-RSS budget")
+print(f"scale smoke: {len(rows)} rows inside the peak-RSS budget")
 PY
   else
     echo "scale smoke: python3 unavailable, JSON validation skipped"
@@ -220,6 +214,15 @@ for name in ("BENCH_batch.json", "BENCH_engine.json", "BENCH_scale.json",
     assert report["hardware_threads"] >= 1, f"{name} hardware_threads degenerate"
 print("meta smoke: hardware_threads recorded in every emitted bench report")
 PY
+fi
+
+# The frozen request-level benchmark (reqbench/) must still build against
+# the library and answer every workload correctly on tiny instances, with
+# every metric BENCHMARK.json names. It builds into its own .bench_build/.
+if command -v python3 >/dev/null; then
+  (cd .. && python3 reqbench/run.py --smoke)
+else
+  echo "reqbench smoke: python3 unavailable, skipped"
 fi
 
 # UBSan pass over the word-level kernels the bitsliced path leans on:

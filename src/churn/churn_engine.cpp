@@ -22,8 +22,7 @@ void set_bit(std::vector<std::uint64_t>& bits, Node v) noexcept {
 /// Theorem 1 on the live subgraph: nodes outside `members` that still have a
 /// usable edge into it. Removed nodes and dead edges are excluded — a
 /// removed node is not a fault, it is simply absent.
-template <class GV>
-std::vector<Node> live_boundary(const GV& g, const TopologyOverlay& overlay,
+std::vector<Node> live_boundary(const Graph& g, const TopologyOverlay& overlay,
                                 const std::vector<std::uint64_t>& members) {
   std::vector<Node> boundary;
   const std::size_t n = overlay.num_nodes();
@@ -31,10 +30,10 @@ std::vector<Node> live_boundary(const GV& g, const TopologyOverlay& overlay,
     if (overlay.node_removed(v)) continue;
     if (get_bit(members, v)) continue;
     const std::uint64_t dead = overlay.dead_mask(v);
-    const unsigned deg = static_cast<unsigned>(g.degree(v));
-    for (unsigned p = 0; p < deg; ++p) {
+    const auto adj = g.neighbors(v);
+    for (unsigned p = 0; p < adj.size(); ++p) {
       if ((dead >> p) & 1) continue;
-      if (get_bit(members, g.neighbor(v, p))) {
+      if (get_bit(members, adj[p])) {
         boundary.push_back(v);
         break;
       }
@@ -74,19 +73,10 @@ ChurnEngine::ChurnEngine(DiagnosisEngine& engine, const std::string& spec,
                               /*validate_all=*/true)),
       plan_(cal_->partition.plan.get()),
       delta_(cal_->delta()),
-      overlay_(cal_->is_implicit() ? TopologyOverlay(*cal_->implicit_view)
-                                   : TopologyOverlay(cal_->graph)),
-      recert_(cal_->is_implicit()
-                  ? ChurnRecertifier(*cal_->implicit_view, cal_->partition.plan,
-                                     delta_, cal_->rule())
-                  : ChurnRecertifier(cal_->graph, cal_->partition.plan, delta_,
-                                     cal_->rule())),
-      probe_builder_(cal_->is_implicit()
-                         ? SetBuilder(*cal_->implicit_view, cal_->rule())
-                         : SetBuilder(cal_->graph, cal_->rule())),
-      final_builder_(cal_->is_implicit()
-                         ? SetBuilder(*cal_->implicit_view, options.final_rule)
-                         : SetBuilder(cal_->graph, options.final_rule)) {
+      overlay_(cal_->graph),
+      recert_(cal_->graph, cal_->partition.plan, delta_, cal_->rule()),
+      probe_builder_(cal_->graph, cal_->rule()),
+      final_builder_(cal_->graph, options.final_rule) {
   // The pristine overlay replays the calibration runs verbatim, so every
   // component starts certified.
   cert_ = recert_.recertify_all(overlay_);
@@ -288,9 +278,7 @@ ChurnEngine::SolveOutput ChurnEngine::full_solve(
     std::vector<std::uint64_t> local(words, 0);
     for (const Node m : run.members) set_bit(local, m);
     const std::vector<Node> boundary =
-        cal_->is_implicit()
-            ? live_boundary(*cal_->implicit_view, overlay_, local)
-            : live_boundary(cal_->graph, overlay_, local);
+        live_boundary(cal_->graph, overlay_, local);
     for (const Node v : boundary) {
       if (!get_bit(fault_bits, v)) {
         set_bit(fault_bits, v);

@@ -56,10 +56,6 @@ ChurnHarnessReport run_churn_stream(DiagnosisEngine& engine,
   churn_options.delta = stream.delta;
   ChurnEngine churn(engine, stream.spec, churn_options);
   const Calibration& cal = churn.calibration();
-  if (options.use_table_oracle && cal.is_implicit()) {
-    throw std::invalid_argument(
-        "churn harness: table oracles need a CSR calibration");
-  }
   const std::size_t n = churn.overlay().num_nodes();
   // One fixed behavior seed for the whole stream: syndrome rows then depend
   // only on fault membership, so diagnose-delta's changed-row set is exactly
@@ -75,14 +71,7 @@ ChurnHarnessReport run_churn_stream(DiagnosisEngine& engine,
                                   std::back_inserter(delta_nodes));
     std::vector<Node> changed = delta_nodes;
     for (const Node u : delta_nodes) {
-      if (cal.is_implicit()) {
-        const auto neighbors = cal.implicit_view->neighbors(u);
-        for (std::size_t p = 0; p < neighbors.size(); ++p) {
-          changed.push_back(neighbors[p]);
-        }
-      } else {
-        for (const Node w : cal.graph.neighbors(u)) changed.push_back(w);
-      }
+      for (const Node w : cal.graph.neighbors(u)) changed.push_back(w);
     }
     std::sort(changed.begin(), changed.end());
     changed.erase(std::unique(changed.begin(), changed.end()), changed.end());
@@ -161,9 +150,6 @@ ChurnHarnessReport run_churn_stream(DiagnosisEngine& engine,
           table = std::make_unique<Syndrome>(generate_syndrome(
               cal.graph, faults, options.behavior, behavior_seed));
           oracle = std::make_unique<TableOracle>(cal.graph, *table);
-        } else if (cal.is_implicit()) {
-          oracle = std::make_unique<ImplicitLazyOracle>(
-              *cal.implicit_view, faults, options.behavior, behavior_seed);
         } else {
           oracle = std::make_unique<LazyOracle>(cal.graph, faults,
                                                 options.behavior,

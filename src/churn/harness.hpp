@@ -23,8 +23,7 @@
 namespace mmdiag {
 
 struct ChurnHarnessOptions {
-  /// Materialise a syndrome table per diagnose event (CSR calibrations
-  /// only; throws std::invalid_argument on implicit ones) instead of the
+  /// Materialise a syndrome table per diagnose event instead of the
   /// default on-demand LazyOracle.
   bool use_table_oracle = false;
   FaultyBehavior behavior = FaultyBehavior::kRandom;

@@ -27,14 +27,6 @@ ChurnRecertifier::ChurnRecertifier(const Graph& graph,
   build_member_index(graph.num_nodes());
 }
 
-ChurnRecertifier::ChurnRecertifier(const ImplicitGraph& graph,
-                                   std::shared_ptr<const PartitionPlan> plan,
-                                   unsigned delta, ParentRule rule)
-    : builder_(graph, rule), plan_(std::move(plan)), delta_(delta) {
-  num_components_ = plan_->num_components();
-  build_member_index(graph.num_nodes());
-}
-
 void ChurnRecertifier::build_member_index(std::size_t num_nodes) {
   // Counting sort by component over ascending node ids, so each component's
   // member list comes out sorted — the first entry that is live is the

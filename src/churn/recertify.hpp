@@ -61,9 +61,6 @@ class ChurnRecertifier {
   ChurnRecertifier(const Graph& graph,
                    std::shared_ptr<const PartitionPlan> plan, unsigned delta,
                    ParentRule rule);
-  ChurnRecertifier(const ImplicitGraph& graph,
-                   std::shared_ptr<const PartitionPlan> plan, unsigned delta,
-                   ParentRule rule);
 
   [[nodiscard]] std::uint32_t num_components() const noexcept {
     return num_components_;

@@ -28,7 +28,7 @@ std::string to_string(ChurnOp op) {
 }
 
 TopologyOverlay::TopologyOverlay(const Graph& base)
-    : csr_(&base), num_nodes_(base.num_nodes()) {
+    : base_(&base), num_nodes_(base.num_nodes()) {
   if (num_nodes_ > 0 && base.max_degree() > 64) {
     throw std::invalid_argument(
         "churn: TopologyOverlay requires degree <= 64, got " +
@@ -36,28 +36,6 @@ TopologyOverlay::TopologyOverlay(const Graph& base)
   }
   removed_.assign((num_nodes_ + 63) / 64, 0);
   dead_mask_.assign(num_nodes_, 0);
-}
-
-TopologyOverlay::TopologyOverlay(const ImplicitGraph& base)
-    : implicit_(&base), num_nodes_(base.num_nodes()) {
-  // ImplicitGraph::kMaxDegree is already 64, so no degree check is needed.
-  removed_.assign((num_nodes_ + 63) / 64, 0);
-  dead_mask_.assign(num_nodes_, 0);
-}
-
-unsigned TopologyOverlay::degree_of(Node u) const {
-  return csr_ ? static_cast<unsigned>(csr_->degree(u))
-              : static_cast<unsigned>(implicit_->degree(u));
-}
-
-Node TopologyOverlay::neighbor_of(Node u, unsigned p) const {
-  return csr_ ? csr_->neighbor(u, p) : implicit_->neighbor(u, p);
-}
-
-unsigned TopologyOverlay::mirror_of(Node u, unsigned p) const {
-  const int m = csr_ ? csr_->mirror_position(u, p)
-                     : implicit_->mirror_position(u, p);
-  return static_cast<unsigned>(m);
 }
 
 void TopologyOverlay::check_node(Node u, const char* what) const {
@@ -73,8 +51,7 @@ unsigned TopologyOverlay::edge_position(Node u, Node v,
   check_node(u, what);
   check_node(v, what);
   if (u == v) throw_churn(what, "self-edge (" + std::to_string(u) + ")");
-  const int p = csr_ ? csr_->neighbor_position(u, v)
-                     : implicit_->neighbor_position(u, v);
+  const int p = base_->neighbor_position(u, v);
   if (p < 0) {
     throw_churn(what, "(" + std::to_string(u) + ", " + std::to_string(v) +
                           ") is not a base edge");
@@ -109,10 +86,11 @@ void TopologyOverlay::remove_node(Node u) {
   removed_[u >> 6] |= std::uint64_t{1} << (u & 63);
   ++removed_count_;
   ever_churned_ = true;
-  const unsigned deg = degree_of(u);
-  for (unsigned p = 0; p < deg; ++p) {
-    const Node w = neighbor_of(u, p);
-    dead_mask_[w] |= std::uint64_t{1} << mirror_of(u, p);
+  const auto adj = base_->neighbors(u);
+  const auto mirror = base_->mirror_positions(u);
+  for (unsigned p = 0; p < adj.size(); ++p) {
+    const Node w = adj[p];
+    dead_mask_[w] |= std::uint64_t{1} << mirror[p];
   }
 }
 
@@ -125,13 +103,14 @@ void TopologyOverlay::repair_node(Node u) {
   removed_[u >> 6] &= ~(std::uint64_t{1} << (u & 63));
   --removed_count_;
   ever_churned_ = true;
-  const unsigned deg = degree_of(u);
-  for (unsigned p = 0; p < deg; ++p) {
-    const Node w = neighbor_of(u, p);
+  const auto adj = base_->neighbors(u);
+  const auto mirror = base_->mirror_positions(u);
+  for (unsigned p = 0; p < adj.size(); ++p) {
+    const Node w = adj[p];
     // The edge to w comes back only if nothing else keeps it dead: w itself
     // removed, or the edge explicitly removed.
     if (!node_removed(w) && !edge_removed(u, w)) {
-      dead_mask_[w] &= ~(std::uint64_t{1} << mirror_of(u, p));
+      dead_mask_[w] &= ~(std::uint64_t{1} << mirror[p]);
     }
     // u's own view of the edge: dead iff w is removed or the edge is.
     if (node_removed(w) || edge_removed(u, w)) {
@@ -148,7 +127,7 @@ void TopologyOverlay::remove_edge(Node u, Node v) {
     throw_churn("remove-edge", "edge (" + std::to_string(u) + ", " +
                                    std::to_string(v) + ") is already removed");
   }
-  const unsigned pv = mirror_of(u, pu);
+  const unsigned pv = base_->mirror_position(u, pu);
   removed_edges_.insert(ordered(u, v));
   dead_mask_[u] |= std::uint64_t{1} << pu;
   dead_mask_[v] |= std::uint64_t{1} << pv;
@@ -162,7 +141,7 @@ void TopologyOverlay::repair_edge(Node u, Node v) {
                 "edge (" + std::to_string(u) + ", " + std::to_string(v) +
                     ") was not explicitly removed");
   }
-  const unsigned pv = mirror_of(u, pu);
+  const unsigned pv = base_->mirror_position(u, pu);
   removed_edges_.erase(ordered(u, v));
   ever_churned_ = true;
   // The edge becomes usable from an endpoint only if the other endpoint is

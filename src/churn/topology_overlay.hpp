@@ -1,17 +1,17 @@
-// TopologyOverlay — node/edge remove+repair deltas over an immutable view.
+// TopologyOverlay — node/edge remove+repair deltas over an immutable graph.
 //
 // Real deployments degrade continuously: nodes are pulled for repair, links
-// fail, both come back. Rebuilding the CSR (or re-deriving the implicit
-// adjacency) on every change would renumber adjacency positions — and
-// syndrome bits are addressed by (node, position), so every stored syndrome
-// and every calibrated partition would be invalidated. The overlay therefore
-// never rebuilds anything: the base Graph/ImplicitGraph stays frozen (all
-// positions stable) and churn is a mask on top of it — a removed-node bitset
-// plus a per-node 64-bit dead-edge mask (bit p set = the edge to the p-th
-// base neighbour is unusable, because that neighbour is removed or the edge
-// itself was). OverlayOracle turns the mask into syndrome semantics: any
-// test involving a dead element reads as 1 (fail), so removed nodes are
-// never admitted by Set_Builder and the solver hot paths need no changes.
+// fail, both come back. Rebuilding the CSR on every change would renumber
+// adjacency positions — and syndrome bits are addressed by (node, position),
+// so every stored syndrome and every calibrated partition would be
+// invalidated. The overlay therefore never rebuilds anything: the base Graph
+// stays frozen (all positions stable) and churn is a mask on top of it — a
+// removed-node bitset plus a per-node 64-bit dead-edge mask (bit p set = the
+// edge to the p-th base neighbour is unusable, because that neighbour is
+// removed or the edge itself was). OverlayOracle turns the mask into
+// syndrome semantics: any test involving a dead element reads as 1 (fail),
+// so removed nodes are never admitted by Set_Builder and the solver hot
+// paths need no changes.
 //
 // Every mutation validates (std::invalid_argument) and is applied with the
 // strong guarantee: a rejected delta leaves the overlay untouched.
@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "graph/implicit_graph.hpp"
 #include "util/types.hpp"
 
 namespace mmdiag {
@@ -51,10 +50,9 @@ struct ChurnDelta {
 class TopologyOverlay {
  public:
   /// The overlay packs each node's dead-edge state into one word, so the
-  /// base view must have degree <= 64 (the same bound the cohort row
-  /// path and the implicit view already live under).
+  /// base graph must have degree <= 64 (the same bound the cohort row path
+  /// already lives under).
   explicit TopologyOverlay(const Graph& base);
-  explicit TopologyOverlay(const ImplicitGraph& base);
 
   /// Dispatch to the matching mutation below.
   void apply(const ChurnDelta& delta);
@@ -118,12 +116,8 @@ class TopologyOverlay {
   void check_node(Node u, const char* what) const;
   /// Position of v in u's base adjacency, throwing when not adjacent.
   [[nodiscard]] unsigned edge_position(Node u, Node v, const char* what) const;
-  [[nodiscard]] unsigned mirror_of(Node u, unsigned p) const;
-  [[nodiscard]] unsigned degree_of(Node u) const;
-  [[nodiscard]] Node neighbor_of(Node u, unsigned p) const;
 
-  const Graph* csr_ = nullptr;  // exactly one of csr_ / implicit_ is set
-  const ImplicitGraph* implicit_ = nullptr;
+  const Graph* base_;
   std::size_t num_nodes_ = 0;
   std::uint64_t removed_count_ = 0;
   bool ever_churned_ = false;

@@ -34,8 +34,7 @@ struct PlanVerdict {
 // is still probed, so folding the verdicts in serial order — up to and
 // including the first failure — gives exactly the serial loop's verdict
 // and look-ups, whatever the lane count or schedule.
-template <class GV>
-PlanVerdict probe_plan(const GV& graph, ParentRule rule,
+PlanVerdict probe_plan(const Graph& graph, ParentRule rule,
                        const PartitionPlan& plan, std::size_t to_check,
                        unsigned delta, ThreadPool* pool,
                        std::vector<std::unique_ptr<SetBuilder>>& builders) {
@@ -93,15 +92,12 @@ PlanVerdict probe_plan(const GV& graph, ParentRule rule,
   return verdict;
 }
 
-// One calibration walk for both GraphView models: the builder consults the
-// same fault-free tests in the same order on either, so the accepted plan
-// and calibration_lookups are identical by construction.
-template <class GV>
-CertifiedPartition find_certified_partition_on(const Topology& topology,
-                                               const GV& graph, unsigned delta,
-                                               ParentRule rule,
-                                               bool validate_all,
-                                               ThreadPool* pool) {
+}  // namespace
+
+CertifiedPartition find_certified_partition(const Topology& topology,
+                                            const Graph& graph, unsigned delta,
+                                            ParentRule rule, bool validate_all,
+                                            ThreadPool* pool) {
   const auto plans = topology.partition_plans();
   std::vector<std::unique_ptr<SetBuilder>> builders;  // grown on demand
   std::uint64_t lookups = 0;
@@ -146,37 +142,11 @@ CertifiedPartition find_certified_partition_on(const Topology& topology,
   throw DiagnosisUnsupportedError(msg.str());
 }
 
-}  // namespace
-
 bool component_certifies(const Graph& graph, const PartitionPlan& plan,
                          std::uint32_t comp, unsigned delta, ParentRule rule) {
   SetBuilder builder(graph, rule);
   const FaultFreeOracle oracle;
   return probe_component(builder, oracle, plan, comp, delta);
-}
-
-bool component_certifies(const ImplicitGraph& graph, const PartitionPlan& plan,
-                         std::uint32_t comp, unsigned delta, ParentRule rule) {
-  SetBuilder builder(graph, rule);
-  const FaultFreeOracle oracle;
-  return probe_component(builder, oracle, plan, comp, delta);
-}
-
-CertifiedPartition find_certified_partition(const Topology& topology,
-                                            const Graph& graph, unsigned delta,
-                                            ParentRule rule, bool validate_all,
-                                            ThreadPool* pool) {
-  return find_certified_partition_on(topology, graph, delta, rule,
-                                     validate_all, pool);
-}
-
-CertifiedPartition find_certified_partition(const Topology& topology,
-                                            const ImplicitGraph& graph,
-                                            unsigned delta, ParentRule rule,
-                                            bool validate_all,
-                                            ThreadPool* pool) {
-  return find_certified_partition_on(topology, graph, delta, rule,
-                                     validate_all, pool);
 }
 
 }  // namespace mmdiag

@@ -59,21 +59,8 @@ struct CertifiedPartition {
     ParentRule rule = ParentRule::kSpread, bool validate_all = true,
     ThreadPool* pool = nullptr);
 
-/// Implicit-view calibration: identical walk, identical accepted plan and
-/// calibration look-ups (the builder consults the same fault-free tests in
-/// the same order), but no edge is ever materialised — O(N) bits of scratch
-/// per builder is the whole footprint.
-[[nodiscard]] CertifiedPartition find_certified_partition(
-    const Topology& topology, const ImplicitGraph& graph, unsigned delta,
-    ParentRule rule = ParentRule::kSpread, bool validate_all = true,
-    ThreadPool* pool = nullptr);
-
 /// True iff the single component `comp` of `plan` certifies when fault-free.
 [[nodiscard]] bool component_certifies(const Graph& graph,
-                                       const PartitionPlan& plan,
-                                       std::uint32_t comp, unsigned delta,
-                                       ParentRule rule);
-[[nodiscard]] bool component_certifies(const ImplicitGraph& graph,
                                        const PartitionPlan& plan,
                                        std::uint32_t comp, unsigned delta,
                                        ParentRule rule);

@@ -13,12 +13,6 @@ const Graph& deref_graph(const std::shared_ptr<const Graph>& graph) {
   return *graph;
 }
 
-const ImplicitGraph& deref_implicit(
-    const std::shared_ptr<const ImplicitGraph>& graph) {
-  if (!graph) throw std::invalid_argument("Diagnoser: null graph");
-  return *graph;
-}
-
 unsigned resolve_delta(const Topology& topology, const DiagnoserOptions& o) {
   if (o.delta != 0) return o.delta;
   const unsigned bound = topology.default_fault_bound();
@@ -59,32 +53,6 @@ Diagnoser::Diagnoser(std::shared_ptr<const Graph> graph,
   graph_owner_ = std::move(graph);
 }
 
-Diagnoser::Diagnoser(const Topology& topology, const ImplicitGraph& graph,
-                     DiagnoserOptions options)
-    : Diagnoser(graph,
-                find_certified_partition(topology, graph,
-                                         resolve_delta(topology, options),
-                                         options.rule,
-                                         options.validate_all_components),
-                options) {}
-
-Diagnoser::Diagnoser(const ImplicitGraph& graph, CertifiedPartition partition,
-                     DiagnoserOptions options)
-    : implicit_(&graph),
-      options_(options),
-      delta_(partition.delta),
-      partition_(std::move(partition)),
-      probe_builder_(graph, options.rule),
-      final_builder_(graph, options.final_rule) {
-  check_adopted_partition();
-}
-
-Diagnoser::Diagnoser(std::shared_ptr<const ImplicitGraph> graph,
-                     CertifiedPartition partition, DiagnoserOptions options)
-    : Diagnoser(deref_implicit(graph), std::move(partition), options) {
-  implicit_owner_ = std::move(graph);
-}
-
 void Diagnoser::check_adopted_partition() const {
   if (!partition_.plan) {
     throw std::invalid_argument("Diagnoser: certified partition has no plan");
@@ -106,18 +74,8 @@ void Diagnoser::check_adopted_partition() const {
   }
 }
 
-void Diagnoser::require_csr(const char* what) const {
-  if (graph_ == nullptr) {
-    throw std::logic_error(std::string("Diagnoser: ") + what +
-                           " requires a CSR graph, not an implicit view");
-  }
-}
-
-// The phase-1/2/3 driver, instantiated for the two graph views (Graph,
-// ImplicitGraph) by diagnose() below.
-template <class GV>
-DiagnosisResult Diagnoser::diagnose_on(const SyndromeOracle& oracle,
-                                       const GV& g) {
+DiagnosisResult Diagnoser::diagnose(const SyndromeOracle& oracle) {
+  const Graph& g = *graph_;
   oracle.reset_lookups();
   const Timer solve_timer;
   DiagnosisResult out;
@@ -189,18 +147,12 @@ DiagnosisResult Diagnoser::diagnose_on(const SyndromeOracle& oracle,
   return out;
 }
 
-DiagnosisResult Diagnoser::diagnose(const SyndromeOracle& oracle) {
-  if (implicit_ != nullptr) return diagnose_on(oracle, *implicit_);
-  return diagnose_on(oracle, *graph_);
-}
-
-// The cohort driver: the phase-1/2/3 structure of diagnose_on with lane
+// The cohort driver: the phase-1/2/3 structure of diagnose() with lane
 // masks for control flow. Each lane leaves the probe stream the moment its
 // component certifies — exactly where its scalar loop would break — so
 // per-lane probe counts and look-ups match the scalar path bit for bit.
 std::vector<DiagnosisResult> Diagnoser::diagnose_cohort(
     const std::vector<const TableOracle*>& lanes) {
-  require_csr("diagnose_cohort");
   if (lanes.empty() || lanes.size() > BitSlicedOracle::kMaxLanes) {
     throw std::invalid_argument("Diagnoser: cohort width must be 1..64 (got " +
                                 std::to_string(lanes.size()) + ")");
@@ -281,7 +233,7 @@ std::vector<DiagnosisResult> Diagnoser::diagnose_cohort(
       out[L].final_members = lane_run[L].member_count;
       out[L].final_rounds = lane_run[L].rounds;
     }
-    // Phase 3, bitsliced: the complement scan of diagnose_on over
+    // Phase 3, bitsliced: the complement scan of diagnose() over
     // lane-membership masks. Ascending v, so per-lane fault lists come
     // out sorted exactly as the scalar path produces them.
     for (Node v = 0; v < num_nodes; ++v) {

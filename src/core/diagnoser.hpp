@@ -106,18 +106,6 @@ class Diagnoser {
   Diagnoser(std::shared_ptr<const Graph> graph, CertifiedPartition partition,
             DiagnoserOptions options = {});
 
-  /// Implicit-view constructors: the same three shapes over an
-  /// ImplicitGraph. Phases 1-3 run the identical driver bodies through
-  /// closed-form adjacency, so results and look-up counts match the CSR
-  /// constructors bit for bit; only diagnose_cohort (which reads CSR
-  /// layout directly) is unavailable and throws std::logic_error.
-  Diagnoser(const Topology& topology, const ImplicitGraph& graph,
-            DiagnoserOptions options = {});
-  Diagnoser(const ImplicitGraph& graph, CertifiedPartition partition,
-            DiagnoserOptions options = {});
-  Diagnoser(std::shared_ptr<const ImplicitGraph> graph,
-            CertifiedPartition partition, DiagnoserOptions options = {});
-
   /// Diagnose one syndrome. The oracle's look-up counter is reset first.
   [[nodiscard]] DiagnosisResult diagnose(const SyndromeOracle& oracle);
 
@@ -143,16 +131,10 @@ class Diagnoser {
   }
 
  private:
-  template <class GV>
-  DiagnosisResult diagnose_on(const SyndromeOracle& oracle, const GV& g);
-
   void check_adopted_partition() const;
-  void require_csr(const char* what) const;
 
   std::shared_ptr<const Graph> graph_owner_;  // null on the raw-pointer path
-  const Graph* graph_ = nullptr;  // exactly one of graph_ / implicit_ is set
-  std::shared_ptr<const ImplicitGraph> implicit_owner_;
-  const ImplicitGraph* implicit_ = nullptr;
+  const Graph* graph_;
   DiagnoserOptions options_;
   unsigned delta_;
   CertifiedPartition partition_;

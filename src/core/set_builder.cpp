@@ -5,7 +5,6 @@
 #include <bit>
 #include <stdexcept>
 
-#include "graph/graph_view.hpp"
 #include "util/rng.hpp"
 
 namespace mmdiag {
@@ -20,31 +19,11 @@ SetBuilder::SetBuilder(const Graph& g, ParentRule rule)
   parent_pos_of_.assign(n, 0u);
 }
 
-SetBuilder::SetBuilder(const ImplicitGraph& g, ParentRule rule)
-    : implicit_(&g), rule_(rule) {
-  const std::size_t n = g.num_nodes();
-  in_set_.resize(n);
-  is_contributor_.resize(n);
-  frontier_words_[0].assign((n + 63) / 64, 0u);
-  frontier_words_[1].assign((n + 63) / 64, 0u);
-  parent_pos_of_.assign(n, 0u);
-}
-
-void SetBuilder::require_csr(const char* what) const {
-  if (graph_ == nullptr) {
-    throw std::logic_error(std::string("Set_Builder: ") + what +
-                           " requires a CSR graph, not an implicit view");
-  }
-}
-
-// The scalar driver, instantiated for the two graph views (Graph,
-// ImplicitGraph) by run/run_restricted below.
-template <class GV>
-SetBuilderResult SetBuilder::run_impl(const SyndromeOracle& oracle,
-                                      const GV& g, Node u0, unsigned delta,
-                                      const PartitionPlan* plan,
+// The scalar driver behind run/run_restricted.
+SetBuilderResult SetBuilder::run_impl(const SyndromeOracle& oracle, Node u0,
+                                      unsigned delta, const PartitionPlan* plan,
                                       std::uint32_t comp) {
-  static_assert(GraphView<GV>);
+  const Graph& g = *graph_;
   if (u0 >= g.num_nodes()) throw std::invalid_argument("Set_Builder: bad seed");
   if (plan != nullptr && plan->component_of(u0) != comp) {
     throw std::invalid_argument("Set_Builder: seed outside its component");
@@ -91,7 +70,7 @@ SetBuilderResult SetBuilder::run_impl(const SyndromeOracle& oracle,
   unsigned fi = 0;
   std::size_t next_count = 0;
 
-  auto add_member = [&](Node v, Node parent, std::uint32_t parent_pos) {
+  auto add_member = [&](Node v, Node parent, Graph::MirrorPos parent_pos) {
     result.members.push_back(v);
     result.parent.push_back(parent);
     parent_pos_of_[v] = parent_pos;
@@ -239,20 +218,14 @@ SetBuilderResult SetBuilder::run_impl(const SyndromeOracle& oracle,
 
 SetBuilderResult SetBuilder::run(const SyndromeOracle& oracle, Node u0,
                                  unsigned delta) {
-  if (implicit_ != nullptr) {
-    return run_impl(oracle, *implicit_, u0, delta, nullptr, 0);
-  }
-  return run_impl(oracle, *graph_, u0, delta, nullptr, 0);
+  return run_impl(oracle, u0, delta, nullptr, 0);
 }
 
 SetBuilderResult SetBuilder::run_restricted(const SyndromeOracle& oracle,
                                             Node u0, unsigned delta,
                                             const PartitionPlan& plan,
                                             std::uint32_t comp) {
-  if (implicit_ != nullptr) {
-    return run_impl(oracle, *implicit_, u0, delta, &plan, comp);
-  }
-  return run_impl(oracle, *graph_, u0, delta, &plan, comp);
+  return run_impl(oracle, u0, delta, &plan, comp);
 }
 
 void SetBuilder::run_sliced(const BitSlicedOracle& oracle, Node u0,
@@ -300,7 +273,6 @@ void SetBuilder::run_sliced_impl(const BitSlicedOracle& oracle, Node u0,
                                  unsigned delta, std::uint64_t active,
                                  const PartitionPlan* plan, std::uint32_t comp,
                                  SlicedLaneResult* out) {
-  require_csr("run_sliced");
   const Graph& g = *graph_;
   if (u0 >= g.num_nodes()) throw std::invalid_argument("Set_Builder: bad seed");
   if (plan != nullptr && plan->component_of(u0) != comp) {

@@ -32,16 +32,16 @@
 // Set_Builder(u0, H) of §5 — in which case only member nodes are touched.
 //
 // The hot path. run/run_restricted read every result through
-// SyndromeOracle::test() and share one driver body, templated only on the
-// graph view (CSR Graph or ImplicitGraph). Structural optimisations keep
-// the inner loop word-granular and allocation-free:
+// SyndromeOracle::test() and share one driver body over the CSR Graph.
+// Structural optimisations keep the inner loop word-granular and
+// allocation-free:
 //
 //   - Frontiers are node-indexed bitmaps consumed word-by-word; ascending
 //     bit order IS the ascending node order the parent rules require, so
 //     no per-round sort of the frontier is needed. The position of a
 //     member's tree parent in its own adjacency list is recorded at
-//     admission (from the graph's O(1) mirror table), so rounds >= 2 never
-//     re-search for the parent.
+//     admission (from the graph's O(1) mirror table, 16 bits per node), so
+//     rounds >= 2 never re-search for the parent.
 //   - Membership bitsets pack one bit per node (DirtyBitset), keeping the
 //     hot loop's working set L1-resident; restricted probes resolve
 //     prefix-plan eligibility with an inline shift instead of a virtual
@@ -62,7 +62,6 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "graph/implicit_graph.hpp"
 #include "mm/oracle.hpp"
 #include "topology/partition.hpp"
 #include "util/bitvec.hpp"
@@ -96,13 +95,6 @@ struct SlicedLaneResult {
 class SetBuilder {
  public:
   explicit SetBuilder(const Graph& g, ParentRule rule = ParentRule::kSpread);
-
-  /// Implicit-adjacency builder: the same driver over a view that computes
-  /// neighbours on the fly. Scratch stays O(N) bits/words; no O(E) state.
-  /// The sliced path remains CSR-only (it reads packed rows by graph
-  /// layout) and throws std::logic_error on this builder.
-  explicit SetBuilder(const ImplicitGraph& g,
-                      ParentRule rule = ParentRule::kSpread);
 
   /// Unrestricted run (the final phase of the §5 driver).
   SetBuilderResult run(const SyndromeOracle& oracle, Node u0, unsigned delta);
@@ -148,7 +140,7 @@ class SetBuilder {
   struct ZeroEdge {
     Node parent;
     Node child;
-    std::uint32_t child_parent_pos;
+    Graph::MirrorPos child_parent_pos;
   };
 
   /// A deferred-join candidate of one sliced round: ZeroEdge plus the mask
@@ -160,19 +152,15 @@ class SetBuilder {
     std::uint64_t lanes;
   };
 
-  template <class GV>
-  SetBuilderResult run_impl(const SyndromeOracle& oracle, const GV& g,
-                            Node u0, unsigned delta, const PartitionPlan* plan,
+  SetBuilderResult run_impl(const SyndromeOracle& oracle, Node u0,
+                            unsigned delta, const PartitionPlan* plan,
                             std::uint32_t comp);
 
   void run_sliced_impl(const BitSlicedOracle& oracle, Node u0, unsigned delta,
                        std::uint64_t active, const PartitionPlan* plan,
                        std::uint32_t comp, SlicedLaneResult* out);
 
-  void require_csr(const char* what) const;
-
-  const Graph* graph_ = nullptr;          // exactly one of graph_ /
-  const ImplicitGraph* implicit_ = nullptr;  // implicit_ is non-null
+  const Graph* graph_;
   ParentRule rule_;
   bool frontier_clean_ = true;  // bitmaps all-zero (see run_impl)
 
@@ -183,7 +171,7 @@ class SetBuilder {
   DirtyBitset in_set_;
   DirtyBitset is_contributor_;
   std::vector<std::uint64_t> frontier_words_[2];  // node-indexed bitmaps
-  std::vector<std::uint32_t> parent_pos_of_;  // t(v)'s position in adj(v)
+  std::vector<Graph::MirrorPos> parent_pos_of_;  // t(v)'s position in adj(v)
   std::vector<unsigned> round1_pos_;  // eligible seed-adjacency positions
   std::vector<ZeroEdge> zero_edges_;  // deferred-join round buffer
   std::size_t last_unrestricted_size_ = 0;  // reserve hint for members

@@ -26,8 +26,8 @@ DiagnosisResult diagnose_and_verify(Diagnoser& diagnoser,
                                     const SyndromeOracle& oracle) {
   if (!oracle.has_graph()) {
     throw std::invalid_argument(
-        "diagnose_and_verify: verification reads the oracle's CSR graph; "
-        "implicit-view oracles are not supported here");
+        "diagnose_and_verify: verification reads the oracle's graph; "
+        "a graph-less oracle cannot be verified");
   }
   DiagnosisResult result = diagnoser.diagnose(oracle);
   if (!result.success) return result;

@@ -15,34 +15,10 @@
 
 #include "core/certified_partition.hpp"
 #include "graph/graph.hpp"
-#include "graph/implicit_graph.hpp"
 #include "topology/topology.hpp"
 #include "util/enum_names.hpp"
 
 namespace mmdiag {
-
-// GraphMode (and its name helpers) lives in util/enum_names.hpp. kAuto
-// picks kImplicit for implicit-capable topologies at or above
-// kImplicitAutoNodeThreshold nodes — where the CSR arrays start to
-// dominate memory — and kCsr below it, keeping small instances on the
-// path that also serves materialised-syndrome (TableOracle) requests.
-
-inline constexpr std::uint64_t kImplicitAutoNodeThreshold = std::uint64_t{1}
-                                                            << 17;
-
-[[nodiscard]] inline bool resolve_implicit_mode(GraphMode mode,
-                                                const TopologyInfo& info) {
-  switch (mode) {
-    case GraphMode::kCsr:
-      return false;
-    case GraphMode::kImplicit:
-      return true;
-    case GraphMode::kAuto:
-      break;
-  }
-  return info.num_nodes >= kImplicitAutoNodeThreshold &&
-         info.degree <= ImplicitGraph::kMaxDegree;
-}
 
 struct Calibration {
   std::string spec;  // canonical Topology::spec() — the cache-key stem
@@ -52,16 +28,12 @@ struct Calibration {
   /// probe machinery is comparison-model-specific — and carry only the
   /// delta/rule parameters in an empty partition.
   DiagnosisModel model = DiagnosisModel::kMMStar;
-  Graph graph;  // empty when is_implicit()
-  std::shared_ptr<const ImplicitGraph> implicit_view;  // null when CSR
+  Graph graph;
   CertifiedPartition partition;  // carries its calibration rule and delta
   double build_seconds = 0;      // graph build + partition calibration cost
 
   [[nodiscard]] unsigned delta() const noexcept { return partition.delta; }
   [[nodiscard]] ParentRule rule() const noexcept { return partition.rule; }
-  [[nodiscard]] bool is_implicit() const noexcept {
-    return implicit_view != nullptr;
-  }
   [[nodiscard]] bool is_directed() const noexcept {
     return is_directed_model(model);
   }
@@ -77,36 +49,23 @@ struct Calibration {
   return std::shared_ptr<const Graph>(std::move(calibration), graph);
 }
 
-/// The implicit-view counterpart of graph_handle. The view already owns the
-/// topology through its own shared_ptr, so the handle keeps everything a
-/// Diagnoser needs alive.
-[[nodiscard]] inline std::shared_ptr<const ImplicitGraph> implicit_handle(
-    const std::shared_ptr<const Calibration>& calibration) {
-  return calibration->implicit_view;
-}
-
 /// Build a bundle from an already-parsed topology. `delta` = 0 resolves to
 /// topology->default_fault_bound() (throws DiagnosisUnsupportedError when
 /// that is unknown, with the same guidance the Diagnoser gives); non-zero
 /// delta is used as-is. Throws DiagnosisUnsupportedError when no partition
-/// plan certifies the bound under `rule`. `mode` selects the GraphView: in
-/// implicit mode no edge is ever materialised — calibration itself runs
-/// through the closed-form adjacency.
+/// plan certifies the bound under `rule`.
 ///
 /// `model` tags the bundle's test semantics. Directed models (kPMC/kBGM)
 /// need no partition certification — their drivers deduce from per-arc
-/// outcomes, not Set_Builder probes — so the bundle materialises the CSR
-/// graph (directed solvers read adjacency both ways; `mode` must not be
-/// kImplicit, throws std::invalid_argument) and records delta/rule in an
-/// uncertified partition.
+/// outcomes, not Set_Builder probes — so the bundle is the CSR graph plus
+/// delta/rule recorded in an uncertified partition.
 ///
 /// `pool` lends its lanes to the CSR build and the component probes (null
 /// means the calling thread alone); the bundle is the same at every lane
 /// count. A busy pool runs the work inline on the calling thread.
 [[nodiscard]] std::shared_ptr<const Calibration> build_calibration(
     std::unique_ptr<const Topology> topology, unsigned delta, ParentRule rule,
-    bool validate_all, GraphMode mode = GraphMode::kCsr,
-    DiagnosisModel model = DiagnosisModel::kMMStar,
+    bool validate_all, DiagnosisModel model = DiagnosisModel::kMMStar,
     ThreadPool* pool = nullptr);
 
 }  // namespace mmdiag

@@ -15,19 +15,6 @@ namespace mmdiag {
 
 namespace {
 
-/// Diagnoser over whichever GraphView the calibration carries, with shared
-/// ownership of the whole bundle either way.
-std::unique_ptr<Diagnoser> make_calibrated_diagnoser(
-    const std::shared_ptr<const Calibration>& cal,
-    const DiagnoserOptions& options) {
-  if (cal->is_implicit()) {
-    return std::make_unique<Diagnoser>(implicit_handle(cal), cal->partition,
-                                       options);
-  }
-  return std::make_unique<Diagnoser>(graph_handle(cal), cal->partition,
-                                     options);
-}
-
 /// Result convention for a definite local answer: success about one node.
 DiagnosisResult definite_local(LocalDiagnosisStatus status,
                                std::uint64_t lookups, Node node) {
@@ -73,30 +60,26 @@ DiagnosisResult run_directed(DirectedDiagnoser& driver, const Graph& graph,
   return out;
 }
 
-template <class GV>
-bool same_degree_sequence(const Graph& graph, const GV& view) {
-  if (graph.num_nodes() != view.num_nodes()) return false;
-  if (graph.min_degree() == graph.max_degree() &&
-      view.min_degree() == view.max_degree()) {
-    return graph.min_degree() == view.min_degree();
+bool same_degree_sequence(const Graph& a, const Graph& b) {
+  if (a.num_nodes() != b.num_nodes()) return false;
+  if (a.min_degree() == a.max_degree() && b.min_degree() == b.max_degree()) {
+    return a.min_degree() == b.min_degree();
   }
-  for (Node u = 0; u < graph.num_nodes(); ++u) {
-    if (graph.degree(u) != view.degree(u)) return false;
+  for (Node u = 0; u < a.num_nodes(); ++u) {
+    if (a.degree(u) != b.degree(u)) return false;
   }
   return true;
 }
 
 /// Why an oracle over `graph` cannot be read against `cal`, or empty when
-/// it can. The solver addresses the syndrome through the calibrated view's
+/// it can. The solver addresses the syndrome through the calibrated graph's
 /// adjacency, so a syndrome laid out for another node count or degree
 /// sequence would be read out of bounds. The served paths build oracles
 /// over cal->graph itself, which passes at once.
 std::string graph_mismatch(const Graph& graph, const Calibration& cal) {
-  if (&graph == &cal.graph) return {};
-  const bool same = cal.is_implicit()
-                        ? same_degree_sequence(graph, *cal.implicit_view)
-                        : same_degree_sequence(graph, cal.graph);
-  if (same) return {};
+  if (&graph == &cal.graph || same_degree_sequence(graph, cal.graph)) {
+    return {};
+  }
   return "oracle graph (" + std::to_string(graph.num_nodes()) +
          " nodes) does not match the calibrated topology " + cal.spec +
          " (" + std::to_string(cal.topology->info().num_nodes) +
@@ -157,16 +140,10 @@ DiagnosisEngine::ResolvedKey DiagnosisEngine::resolve(
   out.delta = delta != 0 ? delta : out.topology->default_fault_bound();
   // out.delta may still be 0 (diagnosability unknown): the key is then never
   // inserted because build_calibration throws its descriptive error first.
-  // Directed bundles are CSR-only (their drivers read adjacency both ways),
-  // so a graph_mode preference never leaks into their keys.
-  out.implicit = !is_directed_model(model) &&
-                 resolve_implicit_mode(options_.graph_mode,
-                                       out.topology->info());
   out.key = out.topology->spec();
   out.key += "|delta=" + std::to_string(out.delta);
   out.key += "|rule=" + parent_rule_to_string(rule);
   if (!validate_all) out.key += "|component0-only";
-  if (out.implicit) out.key += "|implicit";
   if (is_directed_model(model)) {
     out.key += "|model=" + diagnosis_model_to_string(model);
   }
@@ -207,8 +184,7 @@ std::shared_ptr<const Calibration> DiagnosisEngine::get_or_build(
   }
 
   std::shared_ptr<const Calibration> built = build_calibration(
-      std::move(resolved.topology), resolved.delta, rule, validate_all,
-      resolved.implicit ? GraphMode::kImplicit : GraphMode::kCsr, model,
+      std::move(resolved.topology), resolved.delta, rule, validate_all, model,
       &pool_);
   {
     const std::lock_guard<std::mutex> lock(mu_);
@@ -251,8 +227,8 @@ DiagnosisResult DiagnosisEngine::diagnose(const std::string& spec,
   if (std::string why = graph_mismatch(oracle, *cal); !why.empty()) {
     return failed(std::move(why), reused, setup_timer.seconds());
   }
-  const std::unique_ptr<Diagnoser> diagnoser =
-      make_calibrated_diagnoser(cal, options_.diagnoser);
+  const auto diagnoser = std::make_unique<Diagnoser>(
+      graph_handle(cal), cal->partition, options_.diagnoser);
   const double setup_seconds = setup_timer.seconds();
   DiagnosisResult result = diagnoser->diagnose(oracle);
   result.calibration_reused = reused;
@@ -379,7 +355,8 @@ std::vector<DiagnosisResult> DiagnosisEngine::serve(
         entry.directed =
             std::make_unique<DirectedDiagnoser>(cal->graph, cal->delta());
       } else {
-        entry.diagnoser = make_calibrated_diagnoser(cal, options_.diagnoser);
+        entry.diagnoser = std::make_unique<Diagnoser>(
+            graph_handle(cal), cal->partition, options_.diagnoser);
       }
       it = scratch.emplace(cal.get(), std::move(entry)).first;
     }
@@ -419,19 +396,6 @@ std::vector<DiagnosisResult> DiagnosisEngine::serve(
               }
               results[idx[k]] =
                   failed(std::move(why), reused[k], setup_seconds);
-            }
-            if (cal->is_implicit()) {
-              // Cohorts bitslice through CSR row layout; an implicit
-              // calibration serves its TableOracle requests scalar instead
-              // (same results, no lockstep).
-              for (const std::size_t k : lanes) {
-                DiagnosisResult r =
-                    diagnoser.diagnose(*requests[idx[k]].oracle);
-                r.calibration_reused = reused[k];
-                r.setup_seconds = setup_seconds;
-                results[idx[k]] = std::move(r);
-              }
-              return;
             }
             if (lanes.empty()) return;
             std::vector<const TableOracle*> cohort;
@@ -516,7 +480,8 @@ std::unique_ptr<Diagnoser> DiagnosisEngine::make_diagnoser(
       spec, diagnoser_options.delta, diagnoser_options.rule,
       diagnoser_options.validate_all_components, DiagnosisModel::kMMStar,
       nullptr);
-  return make_calibrated_diagnoser(cal, diagnoser_options);
+  return std::make_unique<Diagnoser>(graph_handle(cal), cal->partition,
+                                     diagnoser_options);
 }
 
 void DiagnosisEngine::prune_stale(

@@ -13,7 +13,6 @@
 #include "core/directed_diagnoser.hpp"
 #include "core/verifier.hpp"
 #include "graph/builder.hpp"
-#include "graph/implicit_graph.hpp"
 #include "mm/directed_oracle.hpp"
 #include "mm/directed_syndrome.hpp"
 #include "mm/fault_set.hpp"
@@ -427,23 +426,6 @@ DiffReport run_differential(FuzzContext& ctx, const FuzzCase& c,
     } catch (const std::exception& e) {
       report.divergences.push_back(
           {"seq-spread-baseline", std::string("driver threw: ") + e.what()});
-    }
-    // Implicit-graph voice: the same case through closed-form adjacency.
-    // The implicit view enumerates neighbours in CSR order, so faults,
-    // look-ups and probes must all match the materialised reference bit
-    // for bit — any drift is an adjacency-formula bug.
-    if (s.spread->topology->info().degree <= ImplicitGraph::kMaxDegree) {
-      try {
-        const ImplicitGraph iview(*s.spread->topology);
-        Diagnoser diagnoser(iview, s.spread->partition, spread_options);
-        const ImplicitLazyOracle oracle(iview, faults, c.behavior,
-                                        c.behavior_seed);
-        check_bit_identical(report, "seq-spread-implicit", *reference,
-                                 diagnoser.diagnose(oracle));
-      } catch (const std::exception& e) {
-        report.divergences.push_back(
-            {"seq-spread-implicit", std::string("driver threw: ") + e.what()});
-      }
     }
   }
 

@@ -94,8 +94,7 @@ class Graph {
 };
 
 /// What memory_bytes() would report for a materialised CSR of a regular
-/// graph with the given shape — lets the implicit path quote the cost it
-/// avoided without paying it.
+/// graph with the given shape — quotes the cost of a CSR before paying it.
 [[nodiscard]] constexpr std::uint64_t csr_memory_bytes_estimate(
     std::uint64_t num_nodes, unsigned degree) noexcept {
   return (num_nodes + 1) * sizeof(EdgeIndex) +

@@ -23,18 +23,6 @@
 
 namespace mmdiag {
 
-class ImplicitGraph;
-
-namespace detail {
-/// The base class carries a CSR pointer for consumers like the verifier;
-/// oracles driven by a non-CSR GraphView have none to offer.
-inline const Graph* erased_graph(const Graph& g) noexcept { return &g; }
-template <class GV>
-const Graph* erased_graph(const GV&) noexcept {
-  return nullptr;
-}
-}  // namespace detail
-
 class SyndromeOracle {
  public:
   virtual ~SyndromeOracle() = default;
@@ -53,15 +41,14 @@ class SyndromeOracle {
   /// counter stays bit-identical to having called test() n times.
   void add_lookups(std::uint64_t n) const noexcept { lookups_ += n; }
 
-  /// False for oracles over an implicit view (and the graph-less
-  /// FaultFreeOracle): graph() must not be called on them.
+  /// False only for the graph-less FaultFreeOracle: graph() must not be
+  /// called on it. Every oracle that reads a syndrome carries its graph.
   [[nodiscard]] bool has_graph() const noexcept { return graph_ != nullptr; }
   [[nodiscard]] const Graph& graph() const noexcept { return *graph_; }
 
  protected:
   SyndromeOracle() = default;
   explicit SyndromeOracle(const Graph& g) : graph_(&g) {}
-  explicit SyndromeOracle(const Graph* g) : graph_(g) {}
   [[nodiscard]] virtual bool test_impl(Node u, unsigned i, unsigned j) const = 0;
 
  private:
@@ -109,29 +96,17 @@ class TableOracle final : public SyndromeOracle {
 
 /// Computes results on demand from the (hidden) fault set — the "perform the
 /// test only when consulted" execution mode of §6. Deterministic: repeated
-/// look-ups of the same pair agree. Templated over the GraphView supplying
-/// adjacency: LazyOracleOn<Graph> is the classic CSR-backed lazy oracle;
-/// LazyOracleOn<ImplicitGraph> is the O(1)-memory oracle of the scale path
-/// (nodes named by position through the view's closed-form neighbor(u, p),
-/// so the outcomes — and thus every downstream result — match the CSR
-/// instantiation bit for bit).
-template <class GV>
-class LazyOracleOn final : public SyndromeOracle {
+/// look-ups of the same pair agree.
+class LazyOracle final : public SyndromeOracle {
  public:
-  LazyOracleOn(const GV& g, const FaultSet& faults, FaultyBehavior behavior,
-               std::uint64_t seed)
-      : SyndromeOracle(detail::erased_graph(g)),
-        view_(&g),
-        faults_(&faults),
-        behavior_(behavior),
-        seed_(seed) {}
-
-  [[nodiscard]] const GV& view() const noexcept { return *view_; }
+  LazyOracle(const Graph& g, const FaultSet& faults, FaultyBehavior behavior,
+             std::uint64_t seed)
+      : SyndromeOracle(g), faults_(&faults), behavior_(behavior), seed_(seed) {}
 
  protected:
   [[nodiscard]] bool test_impl(Node u, unsigned i, unsigned j) const override {
-    const Node v = view_->neighbor(u, i);
-    const Node w = view_->neighbor(u, j);
+    const Node v = graph().neighbor(u, i);
+    const Node w = graph().neighbor(u, j);
     if (!faults_->is_faulty(u)) {
       return faults_->is_faulty(v) || faults_->is_faulty(w);
     }
@@ -140,19 +115,15 @@ class LazyOracleOn final : public SyndromeOracle {
   }
 
  private:
-  const GV* view_;
   const FaultSet* faults_;
   FaultyBehavior behavior_;
   std::uint64_t seed_;
 };
 
-using LazyOracle = LazyOracleOn<Graph>;
-using ImplicitLazyOracle = LazyOracleOn<ImplicitGraph>;
-
 /// The all-healthy syndrome (every test 0) — used to calibrate partition
-/// certification without materialising anything. View-independent, so it
-/// needs no graph at all; the CSR-reference ctor is kept for callers that
-/// have one handy.
+/// certification without materialising anything. It reads no adjacency, so
+/// it needs no graph at all; the graph-reference ctor is kept for callers
+/// that have one handy.
 class FaultFreeOracle final : public SyndromeOracle {
  public:
   FaultFreeOracle() = default;

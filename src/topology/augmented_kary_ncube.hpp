@@ -18,24 +18,6 @@ class AugmentedKAryNCube final : public KAryNCube {
   [[nodiscard]] TopologyInfo info() const override;
   void neighbors(Node u, std::vector<Node>& out) const override;
 
-  // The augmenting edges invalidate KAryNCube's ±e_i closed forms, so the
-  // implicit-adjacency API must fall back to the generic enumerate-and-sort
-  // path rather than inherit the base class's formulas.
-  [[nodiscard]] unsigned degree(Node u) const override {
-    return Topology::degree(u);
-  }
-  unsigned sorted_neighbors(Node u, Node* out) const override {
-    return Topology::sorted_neighbors(u, out);
-  }
-  [[nodiscard]] Node neighbor(Node u, unsigned p) const override {
-    return Topology::neighbor(u, p);
-  }
-  [[nodiscard]] int neighbor_position(Node u, Node v) const override {
-    return Topology::neighbor_position(u, v);
-  }
-  [[nodiscard]] unsigned mirror_position(Node u, unsigned p) const override {
-    return Topology::mirror_position(u, p);
-  }
 };
 
 }  // namespace mmdiag

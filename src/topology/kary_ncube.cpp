@@ -53,82 +53,6 @@ void KAryNCube::neighbors(Node u, std::vector<Node>& out) const {
   }
 }
 
-namespace {
-
-// Writes the 2n ±1 (mod k) neighbours of u in dimension order (up, down per
-// dimension), unsorted. Digits come straight off the rank by div/mod, so no
-// codec state is needed.
-unsigned raw_kary_neighbors(unsigned n, unsigned k, Node u, Node* out) {
-  unsigned count = 0;
-  std::uint64_t place = 1;
-  std::uint64_t rest = u;
-  const auto base = static_cast<std::int64_t>(u);
-  for (unsigned i = 0; i < n; ++i) {
-    const auto digit = static_cast<std::int64_t>(rest % k);
-    rest /= k;
-    const std::int64_t up = (digit + 1) % k;
-    const std::int64_t down = (digit + k - 1) % k;
-    const auto p = static_cast<std::int64_t>(place);
-    out[count++] = static_cast<Node>(base + (up - digit) * p);
-    out[count++] = static_cast<Node>(base + (down - digit) * p);
-    place *= k;
-  }
-  return count;
-}
-
-}  // namespace
-
-unsigned KAryNCube::sorted_neighbors_of(unsigned n, unsigned k, Node u,
-                                        Node* out) {
-  const unsigned count = raw_kary_neighbors(n, k, u, out);
-  // Insertion sort: count = 2n <= 64, typically far smaller.
-  for (unsigned i = 1; i < count; ++i) {
-    const Node key = out[i];
-    unsigned j = i;
-    for (; j > 0 && out[j - 1] > key; --j) out[j] = out[j - 1];
-    out[j] = key;
-  }
-  return count;
-}
-
-Node KAryNCube::neighbor_of(unsigned n, unsigned k, Node u, unsigned p) {
-  Node adj[64];
-  sorted_neighbors_of(n, k, u, adj);
-  return adj[p];
-}
-
-int KAryNCube::position_of(unsigned n, unsigned k, Node u, Node v) {
-  Node adj[64];
-  const unsigned count = raw_kary_neighbors(n, k, u, adj);
-  unsigned below = 0;
-  bool found = false;
-  for (unsigned i = 0; i < count; ++i) {
-    below += adj[i] < v;
-    found = found || adj[i] == v;
-  }
-  if (!found) return -1;
-  return static_cast<int>(below);
-}
-
-unsigned KAryNCube::degree(Node /*u*/) const { return 2 * n_; }
-
-unsigned KAryNCube::sorted_neighbors(Node u, Node* out) const {
-  return sorted_neighbors_of(n_, k_, u, out);
-}
-
-Node KAryNCube::neighbor(Node u, unsigned p) const {
-  return neighbor_of(n_, k_, u, p);
-}
-
-int KAryNCube::neighbor_position(Node u, Node v) const {
-  return position_of(n_, k_, u, v);
-}
-
-unsigned KAryNCube::mirror_position(Node u, unsigned p) const {
-  const Node v = neighbor_of(n_, k_, u, p);
-  return static_cast<unsigned>(position_of(n_, k_, v, u));
-}
-
 std::string KAryNCube::node_label(Node u) const {
   std::uint8_t d[64];
   codec_.unrank(u, d);

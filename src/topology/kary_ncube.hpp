@@ -29,23 +29,6 @@ class KAryNCube : public Topology {
   [[nodiscard]] unsigned n() const noexcept { return n_; }
   [[nodiscard]] unsigned k() const noexcept { return k_; }
 
-  // Closed-form implicit adjacency: each dimension contributes the ±1
-  // (mod k) neighbours by digit arithmetic on the rank itself; sorting the
-  // 2n candidates (or counting those below v) recovers the CSR order in
-  // O(Δ) with no decode table.
-  [[nodiscard]] unsigned degree(Node u) const override;
-  unsigned sorted_neighbors(Node u, Node* out) const override;
-  [[nodiscard]] Node neighbor(Node u, unsigned p) const override;
-  [[nodiscard]] int neighbor_position(Node u, Node v) const override;
-  [[nodiscard]] unsigned mirror_position(Node u, unsigned p) const override;
-
-  // Static forms of the same arithmetic, usable without an instance.
-  static unsigned sorted_neighbors_of(unsigned n, unsigned k, Node u,
-                                      Node* out);
-  [[nodiscard]] static Node neighbor_of(unsigned n, unsigned k, Node u,
-                                        unsigned p);
-  [[nodiscard]] static int position_of(unsigned n, unsigned k, Node u, Node v);
-
  protected:
   [[nodiscard]] bool excluded_small_case() const;
 

@@ -1,23 +1,8 @@
 #include "topology/topology.hpp"
 
-#include <algorithm>
-#include <stdexcept>
-
 #include "graph/builder.hpp"
 
 namespace mmdiag {
-
-namespace {
-
-// Scratch for the generic implicit-adjacency fallbacks. thread_local so the
-// fallbacks stay allocation-free in steady state and safe under the engine's
-// thread pool.
-std::vector<Node>& fallback_scratch() {
-  thread_local std::vector<Node> scratch;
-  return scratch;
-}
-
-}  // namespace
 
 std::string Topology::spec() const {
   std::string out = info().family;
@@ -32,41 +17,6 @@ Graph Topology::build_graph(ThreadPool* pool) const {
   return build_graph_from_generator(
       static_cast<std::size_t>(info().num_nodes),
       [this](Node u, std::vector<Node>& out) { neighbors(u, out); }, pool);
-}
-
-unsigned Topology::degree(Node /*u*/) const { return info().degree; }
-
-unsigned Topology::sorted_neighbors(Node u, Node* out) const {
-  std::vector<Node>& scratch = fallback_scratch();
-  neighbors(u, scratch);
-  std::sort(scratch.begin(), scratch.end());
-  std::copy(scratch.begin(), scratch.end(), out);
-  return static_cast<unsigned>(scratch.size());
-}
-
-Node Topology::neighbor(Node u, unsigned p) const {
-  std::vector<Node>& scratch = fallback_scratch();
-  neighbors(u, scratch);
-  std::sort(scratch.begin(), scratch.end());
-  return scratch[p];
-}
-
-int Topology::neighbor_position(Node u, Node v) const {
-  std::vector<Node>& scratch = fallback_scratch();
-  neighbors(u, scratch);
-  std::sort(scratch.begin(), scratch.end());
-  const auto it = std::lower_bound(scratch.begin(), scratch.end(), v);
-  if (it == scratch.end() || *it != v) return -1;
-  return static_cast<int>(it - scratch.begin());
-}
-
-unsigned Topology::mirror_position(Node u, unsigned p) const {
-  const Node v = neighbor(u, p);
-  const int pos = neighbor_position(v, u);
-  if (pos < 0) {
-    throw std::logic_error("Topology::mirror_position: adjacency asymmetry");
-  }
-  return static_cast<unsigned>(pos);
 }
 
 unsigned diagnosability_by_chang(std::uint64_t num_nodes, unsigned degree,

@@ -1,10 +1,10 @@
 // Topology: an interconnection-network family instance.
 //
 // A topology names its nodes densely in [0, N), computes adjacency
-// arithmetically (so graphs need not be materialised to know structure), and
-// publishes the graph-theoretic constants the paper's theorems consume:
-// regular degree, connectivity κ, and diagnosability δ under the comparison
-// (MM) model, with the validity conditions of §5.
+// arithmetically (build_graph materialises it as the CSR Graph every solver
+// runs on), and publishes the graph-theoretic constants the paper's
+// theorems consume: regular degree, connectivity κ, and diagnosability δ
+// under the comparison (MM) model, with the validity conditions of §5.
 #pragma once
 
 #include <cstdint>
@@ -75,35 +75,6 @@ class Topology {
     neighbors(u, out);
     return out;
   }
-
-  // --- Implicit (closed-form) adjacency --------------------------------------
-  // The same queries a CSR Graph answers from its arrays, answered from the
-  // family's adjacency arithmetic instead. The *sorted-ascending* order is
-  // part of the contract: it is exactly the order build_graph() stores, so a
-  // solver driven through ImplicitGraph consults identical (node, position)
-  // pairs — and therefore identical syndrome bits — as one driven through
-  // the materialised CSR. Generic fallbacks enumerate-and-sort through the
-  // virtual neighbors() (thread-local scratch, no per-call allocation in
-  // steady state); families with closed forms override them (Hypercube in
-  // O(1)/O(Δ) popcount arithmetic, KAryNCube in O(Δ) digit arithmetic).
-
-  /// Number of neighbours of u (= degree; all §5 families are regular).
-  [[nodiscard]] virtual unsigned degree(Node u) const;
-
-  /// Fills out[0..degree) with the neighbours of u in ascending id order —
-  /// the CSR adjacency order. Returns the count. out must have room for
-  /// degree(u) entries.
-  virtual unsigned sorted_neighbors(Node u, Node* out) const;
-
-  /// The p-th neighbour of u in ascending order. Precondition: p < degree(u).
-  [[nodiscard]] virtual Node neighbor(Node u, unsigned p) const;
-
-  /// Position of v in u's ascending adjacency, or -1 if u !~ v.
-  [[nodiscard]] virtual int neighbor_position(Node u, Node v) const;
-
-  /// Position of u in the adjacency of its p-th neighbour — the closed-form
-  /// counterpart of Graph::mirror_position. Precondition: p < degree(u).
-  [[nodiscard]] virtual unsigned mirror_position(Node u, unsigned p) const;
 };
 
 /// Diagnosability via Chang–Lai–Tan–Hsu [6]: a t-regular, t-connected graph

@@ -37,14 +37,12 @@ inline constexpr ParentRule kAllParentRules[] = {
     ParentRule::kHashSpread};
 
 // ---------------------------------------------------------------------------
-// GraphMode — which GraphView a calibration (and the Diagnosers built on it)
-// uses; engine/calibration.hpp documents the kAuto resolution rule.
+// GraphMode — the graph a calibration is laid out on. Only the CSR Graph
+// remains; the enum and its name survive for EngineOptions::graph_mode (see
+// engine/engine.hpp), which the frozen request-level benchmark reports.
 // ---------------------------------------------------------------------------
 
-enum class GraphMode : std::uint8_t { kAuto, kCsr, kImplicit };
-
-inline constexpr GraphMode kAllGraphModes[] = {GraphMode::kAuto, GraphMode::kCsr,
-                                               GraphMode::kImplicit};
+enum class GraphMode : std::uint8_t { kCsr };
 
 // ---------------------------------------------------------------------------
 // DiagnosisModel — the test semantics a syndrome was produced under.
@@ -117,29 +115,14 @@ inline std::string canonical_enum_name(const std::string& name) {
 
 [[nodiscard]] inline std::string to_string(GraphMode mode) {
   switch (mode) {
-    case GraphMode::kAuto:
-      return "auto";
     case GraphMode::kCsr:
       return "csr";
-    case GraphMode::kImplicit:
-      return "implicit";
   }
   return "?";
 }
 
 [[nodiscard]] inline std::string graph_mode_to_string(GraphMode mode) {
   return to_string(mode);
-}
-
-/// Inverse of graph_mode_to_string; throws std::invalid_argument on unknown
-/// names (the CLI's --graph-mode flag reports it as a usage error).
-[[nodiscard]] inline GraphMode graph_mode_from_string(const std::string& name) {
-  const std::string canon = detail::canonical_enum_name(name);
-  for (const GraphMode mode : kAllGraphModes) {
-    if (canon == to_string(mode)) return mode;
-  }
-  throw std::invalid_argument("unknown graph mode '" + name +
-                              "' (expected auto, csr, or implicit)");
 }
 
 [[nodiscard]] inline std::string to_string(DiagnosisModel model) {

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/certified_partition.hpp"
-#include "graph/implicit_graph.hpp"
 #include "test_util.hpp"
 #include "util/thread_pool.hpp"
 
@@ -124,8 +123,7 @@ struct Calibrated {
   bool operator==(const Calibrated&) const = default;
 };
 
-template <class GV>
-Calibrated calibrate(const Topology& topo, const GV& graph, unsigned delta,
+Calibrated calibrate(const Topology& topo, const Graph& graph, unsigned delta,
                      ParentRule rule, bool validate_all, ThreadPool* pool) {
   Calibrated out;
   try {
@@ -144,9 +142,8 @@ Calibrated calibrate(const Topology& topo, const GV& graph, unsigned delta,
 
 // The probes of a plan run on the pool's lanes, but the fold is serial:
 // plan, delta, rule, look-ups, fully_validated and every rejection message
-// must be what the one-lane walk gives, on both graph views. The extra
-// cases reject plans: Q8 under least-first, and two families whose
-// components are cliques.
+// must be what the one-lane walk gives. The extra cases reject plans: Q8
+// under least-first, and two families whose components are cliques.
 TEST(CertifiedPartition, IdenticalAtEveryLaneCount) {
   struct Case {
     const char* spec;
@@ -168,7 +165,6 @@ TEST(CertifiedPartition, IdenticalAtEveryLaneCount) {
   std::size_t rejected = 0;
   for (const Case& c : cases) {
     test::Instance inst(c.spec);
-    const ImplicitGraph implicit(*inst.topo);
     for (const ParentRule rule :
          {ParentRule::kSpread, ParentRule::kLeastFirst}) {
       for (const bool validate_all : {true, false}) {
@@ -177,15 +173,9 @@ TEST(CertifiedPartition, IdenticalAtEveryLaneCount) {
         const Calibrated serial = calibrate(*inst.topo, inst.graph, c.delta,
                                             rule, validate_all, nullptr);
         rejected += serial.error.empty() ? 0 : 1;
-        EXPECT_EQ(calibrate(*inst.topo, implicit, c.delta, rule,
-                            validate_all, nullptr),
-                  serial);
         for (ThreadPool* pool : pools) {
           SCOPED_TRACE(pool->size());
           EXPECT_EQ(calibrate(*inst.topo, inst.graph, c.delta, rule,
-                              validate_all, pool),
-                    serial);
-          EXPECT_EQ(calibrate(*inst.topo, implicit, c.delta, rule,
                               validate_all, pool),
                     serial);
         }

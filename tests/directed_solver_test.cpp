@@ -207,20 +207,18 @@ TEST(DirectedEngine, ModelTaggedCacheEntriesAreDistinct) {
   EXPECT_EQ(engine.counters().hits, 1u);
 }
 
-TEST(DirectedEngine, DirectedCalibrationsRefuseTheImplicitView) {
-  EXPECT_THROW(static_cast<void>(build_calibration(
-                   make_topology_from_spec("hypercube 7"), 0,
-                   ParentRule::kSpread, true, GraphMode::kImplicit,
-                   DiagnosisModel::kPMC)),
-               std::invalid_argument);
-  // Through the engine, kAuto resolves directed bundles to CSR instead of
-  // throwing — even on an implicit-capable instance.
-  EngineOptions options;
-  options.graph_mode = GraphMode::kAuto;
-  DiagnosisEngine engine(options);
+TEST(DirectedEngine, DirectedCalibrationsCarryTheCsrGraph) {
+  // Directed drivers read adjacency both ways: the bundle is the graph
+  // plus the bound, with no certified plan.
+  const auto built = build_calibration(make_topology_from_spec("hypercube 7"),
+                                       0, ParentRule::kSpread, true,
+                                       DiagnosisModel::kPMC);
+  EXPECT_EQ(built->graph.num_nodes(), 128u);
+  EXPECT_EQ(built->partition.plan, nullptr);
+  DiagnosisEngine engine;
   const auto cal = engine.calibration("hypercube 7", 0, ParentRule::kSpread,
                                       true, DiagnosisModel::kPMC);
-  EXPECT_GT(cal->graph.num_nodes(), 0u);
+  EXPECT_EQ(cal->graph.num_nodes(), 128u);
 }
 
 TEST(DirectedEngine, DiagnoseDirectedMatchesTheStandaloneDriver) {
@@ -286,11 +284,9 @@ TEST(DirectedEngine, LocalDiagnoseUsesTheFastPathAndFallsBack) {
 
 TEST(DirectedEngine, ServeRoutesDirectedAndLocalRequests) {
   // Q7 certifies at its default bound, so the MM* request can go through
-  // serve()'s default calibration; CSR because the MM oracle is a table.
+  // serve()'s default calibration.
   const Instance inst("hypercube 7");
-  EngineOptions options;
-  options.graph_mode = GraphMode::kCsr;
-  DiagnosisEngine engine(options);
+  DiagnosisEngine engine;
   const FaultSet faults(inst.graph.num_nodes(), {5, 12});
   const FaultSet none(inst.graph.num_nodes(), {});
 

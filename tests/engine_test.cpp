@@ -15,7 +15,6 @@
 
 #include "core/diagnoser.hpp"
 #include "engine/engine.hpp"
-#include "graph/implicit_graph.hpp"
 #include "mm/directed_oracle.hpp"
 #include "mm/injector.hpp"
 #include "mm/syndrome.hpp"
@@ -631,86 +630,26 @@ TEST(DiagnosisEngine, UnsupportedBoundsAndBadSpecsThrow) {
                                            ParentRule::kSpread));
 }
 
-TEST(DiagnosisEngine, ImplicitModeIsBitIdenticalAndMaterialisesNoEdges) {
-  EngineOptions csr_options;
-  csr_options.graph_mode = GraphMode::kCsr;
-  DiagnosisEngine csr_engine(csr_options);
-
-  EngineOptions imp_options;
-  imp_options.graph_mode = GraphMode::kImplicit;
-  DiagnosisEngine imp_engine(imp_options);
-
-  const char* spec = "hypercube 8";
-  const auto csr_cal = csr_engine.calibration(spec);
-  const auto imp_cal = imp_engine.calibration(spec);
-  EXPECT_FALSE(csr_cal->is_implicit());
-  EXPECT_TRUE(imp_cal->is_implicit());
-  // The implicit calibration holds no CSR arrays at all.
-  EXPECT_EQ(imp_cal->graph.num_nodes(), 0u);
-  ASSERT_NE(imp_cal->implicit_view, nullptr);
-  EXPECT_EQ(imp_cal->implicit_view->num_nodes(), csr_cal->graph.num_nodes());
-  // Same certified plan, same calibration budget.
-  EXPECT_EQ(csr_cal->partition.plan->description(),
-            imp_cal->partition.plan->description());
-  EXPECT_EQ(csr_cal->partition.calibration_lookups,
-            imp_cal->partition.calibration_lookups);
+TEST(DiagnosisEngine, DefaultEngineServesTablesOnCsr) {
+  // Hypercube 17 has 2^17 nodes: a default engine lays its calibration on
+  // the CSR graph and solves an in-memory table exactly as a direct
+  // Diagnoser over the same graph does.
+  DiagnosisEngine engine{EngineOptions{}};
+  const char* spec = "hypercube 17";
+  const auto cal = engine.calibration(spec);
+  EXPECT_EQ(cal->graph.num_nodes(), 131072u);
 
   const test::Instance inst(spec);
   const std::size_t n = inst.graph.num_nodes();
-  const ImplicitGraph iview(*inst.topo);
-  for (std::size_t i = 0; i < 4; ++i) {
-    Rng rng(500 + i);
-    const FaultSet faults(n, inject_uniform(n, i, rng));
-    const LazyOracle lazy(inst.graph, faults, FaultyBehavior::kRandom, i);
-    const ImplicitLazyOracle ilazy(iview, faults, FaultyBehavior::kRandom, i);
-    expect_bit_identical(csr_engine.diagnose(spec, lazy),
-                         imp_engine.diagnose(spec, ilazy), i);
-  }
-
-  // Enough table requests for a cohort: the implicit engine cannot
-  // bitslice (cohorts read CSR row layout) and serves them scalar, with
-  // results bit-identical to the CSR engine's cohort.
-  std::vector<FaultSet> table_faults;
-  std::vector<Syndrome> syndromes;
-  table_faults.reserve(BitSlicedOracle::kMaxLanes);
-  syndromes.reserve(BitSlicedOracle::kMaxLanes);
-  for (std::size_t i = 0; i < BitSlicedOracle::kMaxLanes; ++i) {
-    Rng rng(600 + i);
-    table_faults.emplace_back(n, inject_uniform(n, i % 8, rng));
-    syndromes.push_back(generate_syndrome(inst.graph, table_faults.back(),
-                                          FaultyBehavior::kRandom, i));
-  }
-  std::vector<TableOracle> tables;
-  tables.reserve(syndromes.size());
-  std::vector<EngineRequest> requests;
-  for (const Syndrome& syndrome : syndromes) {
-    tables.emplace_back(inst.graph, syndrome);
-    requests.push_back(EngineRequest{spec, &tables.back()});
-  }
-  const std::vector<DiagnosisResult> csr_served = csr_engine.serve(requests);
-  const std::vector<DiagnosisResult> imp_served = imp_engine.serve(requests);
-  ASSERT_EQ(csr_served.size(), requests.size());
-  ASSERT_EQ(imp_served.size(), requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    ASSERT_TRUE(csr_served[i].success) << csr_served[i].failure_reason;
-    expect_bit_identical(csr_served[i], imp_served[i], i);
-  }
-}
-
-TEST(DiagnosisEngine, AutoModeKeepsSmallInstancesOnCsr) {
-  // kAuto flips to implicit only at kImplicitAutoNodeThreshold (2^17)
-  // nodes; everything in the test-sized range stays CSR so the batch and
-  // cohort paths keep working by default.
-  DiagnosisEngine engine;  // graph_mode = kAuto
-  const auto cal = engine.calibration("hypercube 8");
-  EXPECT_FALSE(cal->is_implicit());
-  EXPECT_GT(cal->graph.num_nodes(), 0u);
-  TopologyInfo big;
-  big.num_nodes = std::uint64_t{1} << 20;
-  big.degree = 20;
-  EXPECT_TRUE(resolve_implicit_mode(GraphMode::kAuto, big));
-  big.degree = 65;  // past the implicit ceiling: stays CSR even at scale
-  EXPECT_FALSE(resolve_implicit_mode(GraphMode::kAuto, big));
+  Rng rng(17);
+  const FaultSet faults(n, inject_uniform(n, 9, rng));
+  const Syndrome syndrome =
+      generate_syndrome(inst.graph, faults, FaultyBehavior::kRandom, 17);
+  const TableOracle table(inst.graph, syndrome);
+  const DiagnosisResult served = engine.diagnose(spec, table);
+  ASSERT_TRUE(served.success) << served.failure_reason;
+  Diagnoser direct(*inst.topo, inst.graph, DiagnoserOptions{});
+  expect_bit_identical(direct.diagnose(table), served, 0);
 }
 
 // ---- Explicit invalidation -------------------------------------------------

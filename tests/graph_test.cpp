@@ -179,6 +179,15 @@ TEST(GraphBuilder, RejectsDegreesBeyondTheMirrorWidth) {
   }
 }
 
+TEST(GraphBuilder, MemoryEstimateMatchesTheMaterialisedCsr) {
+  const Graph g = make_topology_from_spec("hypercube 10")->build_graph();
+  // The estimate is what the CSR really holds: 8 bytes per offset, 4 per
+  // neighbour id and 2 per mirror position.
+  EXPECT_EQ(csr_memory_bytes_estimate(1024, 10), g.memory_bytes());
+  EXPECT_EQ(csr_memory_bytes_estimate(1024, 10),
+            (1024u + 1) * 8 + 1024u * 10 * (4 + 2));
+}
+
 TEST(GraphBuilder, GeneratorBuildsCycle) {
   auto gen = [](Node u, std::vector<Node>& out) {
     out.push_back((u + 1) % 6);
