@@ -1,8 +1,6 @@
-// Shared machinery for the experiment benches (EXPERIMENTS.md E1-E12):
-// cached instances and calibrated Diagnosers, deterministic fault sets, and
-// a global experiment table. Free of google-benchmark, so the JSON sweep
-// drivers (bench_batch, bench_engine) build without it; the
-// google-benchmark binaries include bench_main.hpp instead.
+// Shared machinery for the JSON benches (bench_batch, bench_engine,
+// bench_paper): cached instances and calibrated Diagnosers, deterministic
+// fault sets, and a global experiment table for their console output.
 #pragma once
 
 #include <cstdint>
@@ -92,7 +90,7 @@ inline FaultSet make_faults(const std::string& spec, std::size_t count,
                   inject_uniform(inst.graph.num_nodes(), count, rng));
 }
 
-/// Global experiment table: benchmarks add rows; main() prints at exit.
+/// Global experiment table: a bench adds rows, then prints it once.
 class ExperimentTable {
  public:
   static ExperimentTable& get() {
@@ -108,14 +106,6 @@ class ExperimentTable {
 
   void add_row(std::vector<std::string> cells) {
     const std::lock_guard<std::mutex> lock(mu_);
-    // Deduplicate: google-benchmark may re-run a benchmark to stabilise
-    // timing; keep the most recent row per first cell + second cell key.
-    const std::string key = cells[0] + "|" + (cells.size() > 1 ? cells[1] : "");
-    if (auto it = row_index_.find(key); it != row_index_.end()) {
-      rows_[it->second] = std::move(cells);
-      return;
-    }
-    row_index_[key] = rows_.size();
     rows_.push_back(std::move(cells));
   }
 
@@ -134,7 +124,6 @@ class ExperimentTable {
   std::string title_;
   std::unique_ptr<Table> table_;
   std::vector<std::vector<std::string>> rows_;
-  std::map<std::string, std::size_t> row_index_;
 };
 
 }  // namespace mmdiag::bench

@@ -2,8 +2,8 @@
 # Tier-1 verify, exactly as ROADMAP.md specifies:
 #   cmake -B build -S . && cmake --build build -j && cd build && ctest --output-on-failure -j
 # followed by a bench smoke (bench_batch on tiny instances must emit a
-# BENCH_batch.json that parses as JSON), an engine-cache smoke, the JSON
-# bench smokes (none needs google-benchmark), the request-level benchmark's
+# BENCH_batch.json that parses as JSON), an engine-cache smoke, the other
+# JSON bench smokes (bench_paper's included), the request-level benchmark's
 # smoke, a UBSan pass, an ASan ctest
 # pass over every suite, a TSan pass over the multi-threaded suites, a
 # Release (-O3, -Werror) build and ctest of every target, and a fuzz smoke: 200
@@ -197,6 +197,43 @@ else
   echo "churn smoke: bench_churn not built, skipped"
 fi
 
+if [ -x bench/bench_paper ]; then
+  # The paper smoke must reproduce the paper's claims on materialised
+  # syndromes: every row's answer equals the injected fault set, every
+  # baseline agrees with our answer, every final run stays inside the §6
+  # look-up bound, and the distributed protocol diagnoses exactly (the
+  # binary itself exits non-zero on an inexact row or a broken bound; the
+  # JSON fields are re-checked here so a reporting bug cannot mask one).
+  ./bench/bench_paper --smoke --out BENCH_paper.json
+  if command -v python3 >/dev/null; then
+    python3 - <<'PY'
+import json
+with open("BENCH_paper.json") as f:
+    report = json.load(f)
+assert report["syndrome"] == "materialised (TableOracle)", \
+    f"bench_paper lost its materialised-syndrome label: {report}"
+rows = report["results"]
+by_mode = {m: [r for r in rows if r["mode"] == m]
+           for m in ("scaling", "baseline", "distributed")}
+for mode, group in by_mode.items():
+    assert group, f"no {mode} rows in BENCH_paper.json"
+for r in rows:
+    assert r["success"] and r["faults_exact"], f"inexact paper row: {r}"
+for r in by_mode["baseline"]:
+    assert r["same_faults_as_ours"], f"baseline disagrees with ours: {r}"
+for r in by_mode["scaling"]:
+    assert r["final_lookups"] <= r["paper_final_bound"], \
+        f"final run broke the §6 look-up bound: {r}"
+print(f"paper smoke: {len(rows)} rows exact, baselines agree, final runs "
+      "inside the §6 bound")
+PY
+  else
+    echo "paper smoke: python3 unavailable, JSON validation skipped"
+  fi
+else
+  echo "paper smoke: bench_paper not built, skipped"
+fi
+
 # hardware_threads must be present in every bench report that carries
 # speed numbers, so a reader can tell a 1-thread CI container's timings
 # from a workstation's.
@@ -204,7 +241,7 @@ if command -v python3 >/dev/null; then
   python3 - <<'PY'
 import json
 for name in ("BENCH_batch.json", "BENCH_engine.json", "BENCH_scale.json",
-             "BENCH_models.json", "BENCH_churn.json"):
+             "BENCH_models.json", "BENCH_churn.json", "BENCH_paper.json"):
     try:
         with open(name) as f:
             report = json.load(f)

@@ -85,4 +85,19 @@ DiagnosisResult ChiangTanDiagnoser::diagnose(
   return out;
 }
 
+DistributedCost distributed_chiang_tan_cost(const Hypercube& topo,
+                                            const Graph& graph,
+                                            const SyndromeOracle& oracle) {
+  const auto ct = ChiangTanDiagnoser::for_hypercube(topo, graph);
+  const auto result = ct.diagnose(oracle);
+  DistributedCost cost;
+  cost.success = result.success;
+  cost.lookups = result.lookups;
+  // Each node pulls 3 test bits per branch, relayed over 1+2+3 hops.
+  cost.messages =
+      6ULL * ct.branches() * static_cast<std::uint64_t>(graph.num_nodes());
+  cost.rounds = 6;  // pipelined relays
+  return cost;
+}
+
 }  // namespace mmdiag

@@ -25,6 +25,7 @@
 // (possible only when |F| exceeds the bound), the diagnosis reports failure.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 
@@ -65,5 +66,25 @@ class ChiangTanDiagnoser {
   ExtendedStarProvider provider_;
   unsigned branches_;
 };
+
+/// Communication cost of a distributed Chiang–Tan run (§6), priced on a
+/// synchronous network: every node x gathers, for each of its b branches,
+/// the three black-node test bits at distances 1, 2 and 3, relayed along
+/// the branch (1 + 2 + 3 = 6 messages per branch), all nodes in parallel
+/// in 6 pipelined rounds, then decides locally. The diagnosis itself runs
+/// on the real syndrome; only the messages are priced. The measured
+/// distributed Set_Builder it is compared against is
+/// run_distributed_diagnosis (distributed/protocol.hpp).
+struct DistributedCost {
+  std::uint64_t rounds = 0;
+  std::uint64_t messages = 0;
+  std::uint64_t lookups = 0;  // syndrome reads across all nodes
+  bool success = false;
+};
+
+/// Distributed Chiang–Tan on a hypercube (b = n branches): 6 rounds and
+/// 6·b·N messages.
+[[nodiscard]] DistributedCost distributed_chiang_tan_cost(
+    const Hypercube& topo, const Graph& graph, const SyndromeOracle& oracle);
 
 }  // namespace mmdiag

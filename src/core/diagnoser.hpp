@@ -11,7 +11,7 @@
 //   3. output N = the neighbours of U_r. By Theorem 1 (κ >= δ), N = F.
 //
 // Total cost O(Δ·N) time and at most (Δ-1)(Δ/2 + |U_r| - 1) syndrome
-// look-ups for the final run (§6) — both measured by the benches.
+// look-ups for the final run (§6) — both measured by bench_paper.
 #pragma once
 
 #include <algorithm>
@@ -39,7 +39,9 @@ struct DiagnoserOptions {
   /// seed already known healthy, so no certificate is needed and the paper's
   /// least-first rule applies: it admits members as soon as one 0-test
   /// appears, touching each edge at most once — about Δ/2 times fewer
-  /// look-ups than the deferred spread rule (measured by bench_ablation).
+  /// look-ups than the deferred spread rule (the
+  /// FinalRuleEconomy.LeastFirstFinalRunUsesFewerLookups test pins that it
+  /// reads fewer).
   ParentRule final_rule = ParentRule::kLeastFirst;
   /// Calibrate every component (safe default) or just component 0.
   bool validate_all_components = true;

@@ -93,12 +93,4 @@ class Graph {
   unsigned min_degree_ = 0;
 };
 
-/// What memory_bytes() would report for a materialised CSR of a regular
-/// graph with the given shape — quotes the cost of a CSR before paying it.
-[[nodiscard]] constexpr std::uint64_t csr_memory_bytes_estimate(
-    std::uint64_t num_nodes, unsigned degree) noexcept {
-  return (num_nodes + 1) * sizeof(EdgeIndex) +
-         num_nodes * degree * (sizeof(Node) + sizeof(Graph::MirrorPos));
-}
-
 }  // namespace mmdiag

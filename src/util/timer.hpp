@@ -1,5 +1,5 @@
-// Monotonic wall-clock timer for example programs and ad-hoc measurements.
-// (Benches use google-benchmark's timing; this is for examples/tests.)
+// Monotonic wall-clock timer for the benches, examples and ad-hoc
+// measurements.
 #pragma once
 
 #include <chrono>

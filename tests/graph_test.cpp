@@ -179,13 +179,11 @@ TEST(GraphBuilder, RejectsDegreesBeyondTheMirrorWidth) {
   }
 }
 
-TEST(GraphBuilder, MemoryEstimateMatchesTheMaterialisedCsr) {
+TEST(GraphBuilder, MemoryBytesMatchTheCsrLayout) {
   const Graph g = make_topology_from_spec("hypercube 10")->build_graph();
-  // The estimate is what the CSR really holds: 8 bytes per offset, 4 per
-  // neighbour id and 2 per mirror position.
-  EXPECT_EQ(csr_memory_bytes_estimate(1024, 10), g.memory_bytes());
-  EXPECT_EQ(csr_memory_bytes_estimate(1024, 10),
-            (1024u + 1) * 8 + 1024u * 10 * (4 + 2));
+  // The CSR holds 8 bytes per offset, 4 per neighbour id and 2 per mirror
+  // position.
+  EXPECT_EQ(g.memory_bytes(), (1024u + 1) * 8 + 1024u * 10 * (4 + 2));
 }
 
 TEST(GraphBuilder, GeneratorBuildsCycle) {
