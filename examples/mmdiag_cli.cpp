@@ -36,8 +36,8 @@
 //       Print the topology's constants, the diagnosis models it can be
 //       served under (with each model's solver and oracle family), and its
 //       certified partition under probe rule R (least-first | spread |
-//       least-sync | hash-spread). --memory adds the bytes of the CSR
-//       graph every solver runs on.
+//       hash-spread). --memory adds the bytes of the CSR graph every
+//       solver runs on.
 //
 //   mmdiag_cli fuzz [--cases N] [--seed S] [--model M] [--out-dir DIR] ...
 //   mmdiag_cli fuzz --replay FILE
@@ -102,7 +102,7 @@ int usage() {
             << "  mmdiag_cli serve --requests FILE [--threads N] "
                "[--cache-capacity C]\n"
             << "  mmdiag_cli info <spec...> "
-               "[--rule least-first|spread|least-sync|hash-spread] "
+               "[--rule least-first|spread|hash-spread] "
                "[--memory]\n"
             << "  mmdiag_cli fuzz [--cases N] [--seed S] "
                "[--model mm-star|pmc|bgm] [--out-dir DIR] "
@@ -205,13 +205,19 @@ int cmd_generate(const std::vector<std::string>& args) {
 
 /// A resolver over the engine's calibration cache that also pins every
 /// resolved bundle: oracles built over these graphs must outlive the LRU's
-/// eviction decisions, and the pin map guarantees they do.
+/// eviction decisions, and the pin map guarantees they do. `model` picks
+/// the model-tagged calibration (a directed file is read against the graph
+/// of the bundle that serves it).
 class PinnedResolver {
  public:
-  explicit PinnedResolver(DiagnosisEngine& engine) : engine_(&engine) {}
+  explicit PinnedResolver(DiagnosisEngine& engine,
+                          DiagnosisModel model = DiagnosisModel::kMMStar)
+      : engine_(&engine), model_(model) {}
 
   const Graph& operator()(const std::string& spec) {
-    std::shared_ptr<const Calibration> cal = engine_->calibration(spec);
+    const DiagnoserOptions& o = engine_->options().diagnoser;
+    std::shared_ptr<const Calibration> cal = engine_->calibration(
+        spec, o.delta, o.rule, o.validate_all_components, model_);
     const Graph& graph = cal->graph;
     canonical_[spec] = cal->spec;
     // keep_alive_ retains *every* resolved bundle, not just the latest per
@@ -239,6 +245,7 @@ class PinnedResolver {
 
  private:
   DiagnosisEngine* engine_;
+  DiagnosisModel model_;
   std::map<std::string, std::string> canonical_;  // raw -> canonical
   std::map<std::string, std::shared_ptr<const Calibration>> pinned_;
   std::vector<std::shared_ptr<const Calibration>> keep_alive_;
@@ -369,29 +376,34 @@ int cmd_diagnose_batch(const std::string& dir, unsigned threads) {
   return exit_code;
 }
 
-/// Directed (PMC/BGM) single-file diagnose: global solve through
+/// Directed (PMC/BGM) single-file diagnose: the file is read against the
+/// model-tagged calibration's graph, then solved globally through
 /// DiagnosisEngine::diagnose_directed, or — with `--local` — one node's
 /// status through the BGM neighbourhood-read fast path.
-int cmd_diagnose_directed(const LoadedDirectedSyndrome& loaded,
+int cmd_diagnose_directed(std::istream& body, DiagnosisModel model,
                           Node local_node, bool have_local) {
   DiagnosisEngine engine(EngineOptions{});
-  const DirectedTableOracle oracle(loaded.graph, loaded.syndrome,
-                                   loaded.model);
-  std::cout << "loaded " << loaded.spec << ": " << loaded.graph.num_nodes()
+  PinnedResolver resolve(engine, model);
+  const ParsedDirectedSyndrome loaded =
+      read_directed_syndrome(body, std::ref(resolve));
+  const std::shared_ptr<const Calibration> cal =
+      resolve.pinned(resolve.canonical(loaded.spec));
+  const DirectedTableOracle oracle(cal->graph, loaded.syndrome, model);
+  std::cout << "loaded " << cal->spec << ": " << cal->graph.num_nodes()
             << " nodes, " << loaded.syndrome.total_tests()
-            << " directed tests, model "
-            << diagnosis_model_to_string(loaded.model) << "\n";
+            << " directed tests, model " << diagnosis_model_to_string(model)
+            << "\n";
 
   if (have_local) {
-    if (loaded.model != DiagnosisModel::kBGM) {
+    if (model != DiagnosisModel::kBGM) {
       std::cerr << "--local needs a bgm syndrome (the local rules rely on "
                    "BGM's asymmetric invalidation); this file is "
-                << diagnosis_model_to_string(loaded.model) << "\n";
+                << diagnosis_model_to_string(model) << "\n";
       return 2;
     }
-    if (local_node >= loaded.graph.num_nodes()) {
+    if (local_node >= cal->graph.num_nodes()) {
       std::cerr << "--local node " << local_node << " out of range (graph "
-                << "has " << loaded.graph.num_nodes() << " nodes)\n";
+                << "has " << cal->graph.num_nodes() << " nodes)\n";
       return 2;
     }
     const DiagnosisResult r =
@@ -419,8 +431,7 @@ int cmd_diagnose_directed(const LoadedDirectedSyndrome& loaded,
             << result.diagnose_seconds * 1e3 << " ms solve ("
             << result.lookups << " look-ups):\n";
   for (const Node v : result.faults) {
-    std::cout << "  " << v << "  [" << loaded.topology->node_label(v)
-              << "]\n";
+    std::cout << "  " << v << "  [" << cal->topology->node_label(v) << "]\n";
   }
   if (result.faults.empty()) std::cout << "  (system healthy)\n";
   return 0;
@@ -486,8 +497,7 @@ int cmd_diagnose(const std::vector<std::string>& args) {
       return 2;
     }
     std::istringstream body(buffer.str());
-    return cmd_diagnose_directed(read_directed_syndrome(body), local_node,
-                                 have_local);
+    return cmd_diagnose_directed(body, header.model, local_node, have_local);
   }
   if (have_local) {
     std::cerr << "--local needs a bgm syndrome; this file is mm-star\n";

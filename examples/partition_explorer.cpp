@@ -6,7 +6,8 @@
 // requested fault bound (default: the family's paper-supported bound), the
 // contributor count a fault-free component achieves under both parent rules,
 // and the plan the certified search selects. Useful for understanding the
-// calibration correction of DESIGN.md §4.1 on concrete instances.
+// calibration correction (core/certified_partition.hpp) on concrete
+// instances.
 #include <iostream>
 #include <string>
 

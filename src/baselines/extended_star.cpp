@@ -67,7 +67,7 @@ namespace {
 // Extend `path` (path[0..depth-1] fixed) to length 4 by depth-first search
 // over nodes not in `used`, excluding the root. Neighbours farther from the
 // root are tried first so branches flee the contested region around x.
-bool extend_branch(const Graph& g, Node root, const StampSet& used,
+bool extend_branch(const Graph& g, Node root, const DirtyBitset& used,
                    const std::vector<std::uint32_t>& dist,
                    std::array<Node, 4>& path, unsigned depth,
                    std::vector<Node>& on_path) {
@@ -100,7 +100,7 @@ std::optional<ExtendedStar> extended_star_greedy(const Graph& g, Node x,
   // Greedy across branches with in-branch DFS backtracking; on failure,
   // rotate the root-neighbour order and retry (cheap cross-branch repair).
   for (std::size_t attempt = 0; attempt < roots.size(); ++attempt) {
-    StampSet used(g.num_nodes());
+    DirtyBitset used(g.num_nodes());
     used.insert(x);
     ExtendedStar es;
     es.root = x;

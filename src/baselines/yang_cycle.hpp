@@ -47,8 +47,8 @@ class YangCycleDiagnoser {
   const Graph* graph_;
   unsigned n_;
   unsigned m_;
-  StampSet classified_;
-  StampSet known_healthy_;
+  DirtyBitset classified_;
+  DirtyBitset known_healthy_;
 };
 
 }  // namespace mmdiag

@@ -3,9 +3,11 @@
 // The paper assumes the chosen components are large enough that a fault-free
 // component certifies (its Set_Builder tree has more than δ internal nodes).
 // That assumption is *false* for the paper's own component choice in small
-// cases (DESIGN.md §4.1), so instead of trusting a closed-form size we
-// calibrate: walk the topology's partition plans from finest to coarsest and
-// simulate the restricted builder on a fault-free oracle. A plan is accepted
+// cases: a fault-free Q_4 has 2^3 = 8 contributors under the least-first
+// rule (SetBuilder.LeastRuleContributorsOnHypercubeClosedForm), so Q_8's
+// Q_4 components cannot certify δ = 8. So instead of trusting a closed-form
+// size we calibrate: walk the topology's partition plans from finest to
+// coarsest and simulate the restricted builder on a fault-free oracle. A plan is accepted
 // when every component (a) is covered entirely — proving the induced
 // subgraph is connected — and (b) produces more than δ contributors.
 //
@@ -31,7 +33,8 @@ namespace mmdiag {
 class ThreadPool;
 
 /// Raised when no partition plan of a topology can support fault bound δ
-/// (e.g. S_{n,2} and A_{n,2}, whose components are cliques — see DESIGN.md).
+/// (e.g. S_{n,2} and A_{n,2}, whose components are cliques, and a clique's
+/// Set_Builder tree has one internal node).
 class DiagnosisUnsupportedError : public std::runtime_error {
  public:
   explicit DiagnosisUnsupportedError(const std::string& what)

@@ -197,8 +197,8 @@ SetBuilderResult SetBuilder::run_impl(const SyndromeOracle& oracle, Node u0,
                     return a.parent < b.parent;
                   });
       }
-      // Remaining candidates (all of them under kLeastSync / kHashSpread)
-      // go to the first admitting parent in edge order.
+      // Remaining candidates (all of them under kHashSpread) go to the
+      // first admitting parent in edge order.
       for (const ZeroEdge& e : zero_edges_) {
         if (in_set_.insert(e.child)) {
           add_member(e.child, e.parent, e.child_parent_pos);
@@ -585,8 +585,8 @@ void SetBuilder::run_sliced_impl(const BitSlicedOracle& oracle, Node u0,
                     return a.parent < b.parent;
                   });
       }
-      // Remaining candidates (all of them under kLeastSync / kHashSpread)
-      // go to the first admitting parent in edge order, per lane.
+      // Remaining candidates (all of them under kHashSpread) go to the
+      // first admitting parent in edge order, per lane.
       for (const SlicedEdge& e : s_zero_edges_) {
         const std::uint64_t adm = e.lanes & ~s_member_[e.child];
         if (adm != 0) {

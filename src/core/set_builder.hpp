@@ -11,22 +11,23 @@
 // Parent rules:
 //   kLeastFirst — the paper's rule: t(v) is the least frontier node (in the
 //     fixed node ordering) whose test admits v; members join as soon as
-//     admitted, so each edge is tested at most once.
-//   kSpread — our enhancement (DESIGN.md §4.2): joins are deferred to the
+//     admitted, so each edge is tested at most once. This is also exactly
+//     the tree a synchronous message-passing implementation grows (all
+//     offers of a round race, the least sender wins): a non-member is
+//     offered by its frontier neighbours in ascending order and joins under
+//     the first that admits it. The distributed protocol in src/distributed
+//     calibrates its partitions under this rule.
+//   kSpread — an enhancement over the paper: joins are deferred to the
 //     end of the round and children are assigned so as to maximise the
 //     number of distinct parents. Certificate soundness is rule-independent
 //     (the faulty-internal-node propagation argument never uses leastness),
 //     but kSpread certifies strictly smaller components, e.g. fault-free
 //     Q_4 yields 8 internal nodes under kLeastFirst and 10 under kSpread.
-//   kLeastSync — deferred joins with least-offerer parents: exactly the
-//     tree a synchronous message-passing implementation grows (all offers
-//     of a round race, the least sender wins). Used to calibrate partitions
-//     for the distributed protocol in src/distributed.
 //   kHashSpread — deferred joins, parent = the offerer minimising
 //     mix64(parent, child): spreads children over distinct parents
 //     statistically, needs no coordination, and is therefore implementable
 //     distributed with zero extra messages. Certifies some instances
-//     kLeastSync cannot (calibration decides per instance).
+//     kLeastFirst cannot (calibration decides per instance).
 //
 // Runs may be restricted to one component of a PartitionPlan — the
 // Set_Builder(u0, H) of §5 — in which case only member nodes are touched.

@@ -221,7 +221,7 @@ class DiagnosisProtocol final : public NodeProgram {
   // ---- Helpers. -------------------------------------------------------------
 
   /// Parent selection among this round's offers: the least sender
-  /// (kLeastSync) or the sender minimising mix64(sender, self)
+  /// (kLeastFirst) or the sender minimising mix64(sender, self)
   /// (kHashSpread) — both computable from local information alone.
   [[nodiscard]] Node choose_parent(Node self,
                                    std::span<const Message> inbox) const {
@@ -303,14 +303,14 @@ DistributedRunStats run_distributed_diagnosis(const Topology& topology,
     throw DiagnosisUnsupportedError(topology.info().name +
                                     ": pass delta explicitly");
   }
-  // The distributed tree equals the sequential kLeastSync (or kHashSpread)
+  // The distributed tree equals the sequential kLeastFirst (or kHashSpread)
   // tree, so the partition must certify under the rule the joiners use.
   // Try the simple least-sender rule first, then the hash spread.
-  ParentRule rule = ParentRule::kLeastSync;
+  ParentRule rule = ParentRule::kLeastFirst;
   CertifiedPartition partition = [&] {
     try {
       return find_certified_partition(topology, graph, delta,
-                                      ParentRule::kLeastSync, true);
+                                      ParentRule::kLeastFirst, true);
     } catch (const DiagnosisUnsupportedError&) {
       rule = ParentRule::kHashSpread;
       return find_certified_partition(topology, graph, delta,

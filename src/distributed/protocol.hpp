@@ -23,9 +23,10 @@
 //
 // Stage transitions are driven by the harness at network quiescence; a real
 // deployment would use static round bounds instead (same message counts,
-// slightly more rounds) — see DESIGN.md. Membership and contributor counts
-// equal the sequential Set_Builder under ParentRule::kLeastSync, so the
-// partition is calibrated with that rule.
+// slightly more rounds, since each stage waits out its worst-case bound).
+// Membership and contributor counts
+// equal the sequential Set_Builder under ParentRule::kLeastFirst (or
+// kHashSpread), so the partition is calibrated with that rule.
 #pragma once
 
 #include <cstdint>
@@ -52,8 +53,9 @@ struct DistributedRunStats {
 };
 
 /// Run the full five-stage protocol for `topology` on `graph`.
-/// The partition is calibrated with ParentRule::kLeastSync; throws
-/// DiagnosisUnsupportedError if no plan certifies under that rule.
+/// The partition is calibrated with ParentRule::kLeastFirst, falling back
+/// to kHashSpread; throws DiagnosisUnsupportedError if no plan certifies
+/// under either rule.
 [[nodiscard]] DistributedRunStats run_distributed_diagnosis(
     const Topology& topology, const Graph& graph, const SyndromeOracle& oracle,
     unsigned delta = 0);

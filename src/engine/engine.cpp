@@ -1,7 +1,6 @@
 #include "engine/engine.hpp"
 
 #include <algorithm>
-#include <array>
 #include <functional>
 #include <stdexcept>
 #include <unordered_map>
@@ -14,51 +13,6 @@
 namespace mmdiag {
 
 namespace {
-
-/// Result convention for a definite local answer: success about one node.
-DiagnosisResult definite_local(LocalDiagnosisStatus status,
-                               std::uint64_t lookups, Node node) {
-  DiagnosisResult out;
-  out.success = true;
-  if (status == LocalDiagnosisStatus::kFaulty) out.faults.push_back(node);
-  out.lookups = lookups;
-  out.used_local_fast_path = true;
-  return out;
-}
-
-/// Narrow a global solve down to the one node a local request asked about,
-/// folding the fast path's (inconclusive) reads into the look-up count.
-DiagnosisResult restrict_to_node(DiagnosisResult global, Node node,
-                                 std::uint64_t local_lookups) {
-  global.lookups += local_lookups;
-  if (global.success) {
-    const bool faulty = std::binary_search(global.faults.begin(),
-                                           global.faults.end(), node);
-    global.faults.clear();
-    if (faulty) global.faults.push_back(node);
-  }
-  return global;
-}
-
-/// One directed request, start to finish: a plain global solve, or —
-/// when local_node is set — the BGM fast path with global fallback.
-DiagnosisResult run_directed(DirectedDiagnoser& driver, const Graph& graph,
-                             const DirectedOracle& oracle, Node local_node) {
-  if (local_node == kNoNode) return driver.diagnose(oracle);
-  const Timer timer;
-  const LocalDiagnosisResult local =
-      bgm_local_diagnose(graph, oracle, local_node);
-  if (local.status != LocalDiagnosisStatus::kUnknown) {
-    DiagnosisResult out = definite_local(local.status, local.lookups,
-                                         local_node);
-    out.diagnose_seconds = timer.seconds();
-    return out;
-  }
-  DiagnosisResult out =
-      restrict_to_node(driver.diagnose(oracle), local_node, local.lookups);
-  out.diagnose_seconds = timer.seconds();
-  return out;
-}
 
 bool same_degree_sequence(const Graph& a, const Graph& b) {
   if (a.num_nodes() != b.num_nodes()) return false;
@@ -84,12 +38,6 @@ std::string graph_mismatch(const Graph& graph, const Calibration& cal) {
          " nodes) does not match the calibrated topology " + cal.spec +
          " (" + std::to_string(cal.topology->info().num_nodes) +
          " nodes) in node count or degree sequence";
-}
-
-std::string graph_mismatch(const SyndromeOracle& oracle,
-                           const Calibration& cal) {
-  return oracle.has_graph() ? graph_mismatch(oracle.graph(), cal)
-                            : std::string{};
 }
 
 DiagnosisResult failed(std::string reason, bool reused,
@@ -215,75 +163,126 @@ std::shared_ptr<const Calibration> DiagnosisEngine::calibration(
   return get_or_build(spec, delta, rule, validate_all, model, nullptr);
 }
 
+DiagnosisEngine::Admission DiagnosisEngine::admit(
+    const EngineRequest& request) {
+  const bool mmstar = request.oracle != nullptr;
+  Admission out;
+  out.calibration = get_or_build(
+      request.spec, options_.diagnoser.delta, options_.diagnoser.rule,
+      options_.diagnoser.validate_all_components,
+      mmstar ? DiagnosisModel::kMMStar : request.directed->model(),
+      &out.reused);
+  const Graph* graph = mmstar ? (request.oracle->has_graph()
+                                     ? &request.oracle->graph()
+                                     : nullptr)
+                              : &request.directed->graph();
+  if (graph != nullptr) out.refusal = graph_mismatch(*graph, *out.calibration);
+  return out;
+}
+
+DiagnosisEngine::LaneDiagnoser& DiagnosisEngine::lane_entry(
+    LaneScratch& scratch, const std::shared_ptr<const Calibration>& cal) const {
+  auto it = scratch.find(cal.get());
+  if (it == scratch.end()) {
+    if (scratch.size() >= capacity_) {
+      prune_stale(scratch);
+      if (scratch.size() >= capacity_) scratch.clear();
+    }
+    it = scratch.emplace(cal.get(), LaneDiagnoser{cal, nullptr, nullptr}).first;
+  }
+  return it->second;
+}
+
+Diagnoser& DiagnosisEngine::mmstar_driver(LaneDiagnoser& entry) const {
+  if (!entry.diagnoser) {
+    entry.diagnoser = std::make_unique<Diagnoser>(
+        graph_handle(entry.calibration), entry.calibration->partition,
+        options_.diagnoser);
+  }
+  return *entry.diagnoser;
+}
+
+DirectedDiagnoser& DiagnosisEngine::directed_driver(
+    LaneDiagnoser& entry) const {
+  if (!entry.directed) {
+    entry.directed = std::make_unique<DirectedDiagnoser>(
+        entry.calibration->graph, entry.calibration->delta());
+  }
+  return *entry.directed;
+}
+
+DiagnosisResult DiagnosisEngine::answer(const EngineRequest& request,
+                                        LaneScratch& drivers) {
+  const Timer setup_timer;
+  Admission admitted = admit(request);
+  if (!admitted.refusal.empty()) {
+    return failed(std::move(admitted.refusal), admitted.reused,
+                  setup_timer.seconds());
+  }
+  LaneDiagnoser& lane = lane_entry(drivers, admitted.calibration);
+  DiagnosisResult out;
+  double setup_seconds = 0;
+  if (request.oracle != nullptr) {
+    Diagnoser& driver = mmstar_driver(lane);
+    setup_seconds = setup_timer.seconds();
+    out = driver.diagnose(*request.oracle);
+  } else if (request.local_node == kNoNode) {
+    DirectedDiagnoser& driver = directed_driver(lane);
+    setup_seconds = setup_timer.seconds();
+    out = driver.diagnose(*request.directed);
+  } else {
+    // A local request: the BGM fast path answers from neighbourhood reads,
+    // and only its kUnknown builds a driver for the global solve, which is
+    // then narrowed to the one node (its look-ups include the fast path's
+    // inconclusive reads).
+    setup_seconds = setup_timer.seconds();
+    const Timer solve_timer;
+    const Node node = request.local_node;
+    const LocalDiagnosisResult local = bgm_local_diagnose(
+        admitted.calibration->graph, *request.directed, node);
+    if (local.status == LocalDiagnosisStatus::kUnknown) {
+      out = directed_driver(lane).diagnose(*request.directed);
+      if (out.success) {
+        const bool faulty =
+            std::binary_search(out.faults.begin(), out.faults.end(), node);
+        out.faults.clear();
+        if (faulty) out.faults.push_back(node);
+      }
+    } else {
+      out.success = true;
+      if (local.status == LocalDiagnosisStatus::kFaulty) {
+        out.faults.push_back(node);
+      }
+      out.used_local_fast_path = true;
+    }
+    out.lookups += local.lookups;
+    out.diagnose_seconds = solve_timer.seconds();
+  }
+  out.calibration_reused = admitted.reused;
+  out.setup_seconds = setup_seconds;
+  return out;
+}
+
 DiagnosisResult DiagnosisEngine::diagnose(const std::string& spec,
                                           const SyndromeOracle& oracle) {
-  const Timer setup_timer;
-  bool reused = false;
-  const std::shared_ptr<const Calibration> cal =
-      get_or_build(spec, options_.diagnoser.delta, options_.diagnoser.rule,
-                   options_.diagnoser.validate_all_components,
-                   DiagnosisModel::kMMStar, &reused);
-
-  if (std::string why = graph_mismatch(oracle, *cal); !why.empty()) {
-    return failed(std::move(why), reused, setup_timer.seconds());
-  }
-  const auto diagnoser = std::make_unique<Diagnoser>(
-      graph_handle(cal), cal->partition, options_.diagnoser);
-  const double setup_seconds = setup_timer.seconds();
-  DiagnosisResult result = diagnoser->diagnose(oracle);
-  result.calibration_reused = reused;
-  result.setup_seconds = setup_seconds;
-  return result;
+  LaneScratch drivers;
+  return answer(EngineRequest{spec, &oracle, nullptr, kNoNode}, drivers);
 }
 
 DiagnosisResult DiagnosisEngine::diagnose_directed(
     const std::string& spec, const DirectedOracle& oracle) {
-  const Timer setup_timer;
-  bool reused = false;
-  const std::shared_ptr<const Calibration> cal =
-      get_or_build(spec, options_.diagnoser.delta, options_.diagnoser.rule,
-                   options_.diagnoser.validate_all_components, oracle.model(),
-                   &reused);
-  if (std::string why = graph_mismatch(oracle.graph(), *cal); !why.empty()) {
-    return failed(std::move(why), reused, setup_timer.seconds());
-  }
-  DirectedDiagnoser driver(cal->graph, cal->delta());
-  const double setup_seconds = setup_timer.seconds();
-  DiagnosisResult result = driver.diagnose(oracle);
-  result.calibration_reused = reused;
-  result.setup_seconds = setup_seconds;
-  return result;
+  LaneScratch drivers;
+  return answer(EngineRequest{spec, nullptr, &oracle, kNoNode}, drivers);
 }
 
 DiagnosisResult DiagnosisEngine::local_diagnose(const std::string& spec,
                                                 const DirectedOracle& oracle,
                                                 Node node) {
-  const Timer setup_timer;
-  bool reused = false;
-  const std::shared_ptr<const Calibration> cal =
-      get_or_build(spec, options_.diagnoser.delta, options_.diagnoser.rule,
-                   options_.diagnoser.validate_all_components, oracle.model(),
-                   &reused);
-  const double setup_seconds = setup_timer.seconds();
-  if (std::string why = graph_mismatch(oracle.graph(), *cal); !why.empty()) {
-    return failed(std::move(why), reused, setup_seconds);
-  }
-  const Timer solve_timer;
-  const LocalDiagnosisResult local = bgm_local_diagnose(cal->graph, oracle,
-                                                        node);
-  DiagnosisResult result;
-  if (local.status != LocalDiagnosisStatus::kUnknown) {
-    // The fast path answered: no DirectedDiagnoser is even constructed —
-    // per-request cost stays at the neighbourhood reads.
-    result = definite_local(local.status, local.lookups, node);
-  } else {
-    DirectedDiagnoser driver(cal->graph, cal->delta());
-    result = restrict_to_node(driver.diagnose(oracle), node, local.lookups);
-  }
-  result.diagnose_seconds = solve_timer.seconds();
-  result.calibration_reused = reused;
-  result.setup_seconds = setup_seconds;
-  return result;
+  // kNoNode would read as a global request: let the fast path reject it
+  // (model first, then range) as it rejects every out-of-range node.
+  if (node == kNoNode) (void)bgm_local_diagnose(oracle.graph(), oracle, node);
+  LaneScratch drivers;
+  return answer(EngineRequest{spec, nullptr, &oracle, node}, drivers);
 }
 
 std::vector<DiagnosisResult> DiagnosisEngine::serve(
@@ -295,7 +294,7 @@ std::vector<DiagnosisResult> DiagnosisEngine::serve(
   // (in request order per spec) each become one lockstep solve
   // (Diagnoser::diagnose_cohort) on whichever lane picks them up; the
   // per-spec remainder and every other request stay scalar items.
-  // get_or_build still runs once per *request*, so cache hit/miss counters
+  // The admit step still runs once per *request*, so cache hit/miss counters
   // and per-request calibration_reused semantics are exactly the scalar
   // path's. Per-syndrome results and look-up counts are bit-identical
   // either way. Malformed requests fail here, before any cohort forms, so
@@ -331,139 +330,65 @@ std::vector<DiagnosisResult> DiagnosisEngine::serve(
     }
   }
 
-  // Lane-local driver per calibration — a Diagnoser for MM* bundles, a
-  // DirectedDiagnoser for directed ones (the model is in the cache key, so
-  // one calibration is never both): scratch (frontiers, stamp sets) is
-  // reused across the stream without crossing threads. Stale entries for
-  // evicted calibrations can never be looked up again (the pointer
-  // differs), so on overflow those are pruned first — keeping total pinned
-  // memory proportional to the cache capacity, not to threads x capacity —
-  // and only if every entry is still resident is the map cleared outright.
-  auto lane_entry =
-      [&](unsigned lane,
-          const std::shared_ptr<const Calibration>& cal) -> LaneDiagnoser& {
-    auto& scratch = lane_scratch_[lane];
-    auto it = scratch.find(cal.get());
-    if (it == scratch.end()) {
-      if (scratch.size() >= capacity_) {
-        prune_stale(scratch);
-        if (scratch.size() >= capacity_) scratch.clear();
-      }
-      LaneDiagnoser entry;
-      entry.calibration = cal;
-      if (cal->is_directed()) {
-        entry.directed =
-            std::make_unique<DirectedDiagnoser>(cal->graph, cal->delta());
-      } else {
-        entry.diagnoser = std::make_unique<Diagnoser>(
-            graph_handle(cal), cal->partition, options_.diagnoser);
-      }
-      it = scratch.emplace(cal.get(), std::move(entry)).first;
-    }
-    return it->second;
-  };
-
+  // Each lane keeps one driver per calibration in lane_scratch_[lane], so
+  // scratch (frontiers, stamp sets) is reused across the stream without
+  // crossing threads.
   pool_.parallel_for(
       cohorts.size() + scalar_idx.size(),
       [&](unsigned lane, std::size_t item) {
-        if (item < cohorts.size()) {
-          const std::vector<std::size_t>& idx = cohorts[item];
+        if (item >= cohorts.size()) {
+          const std::size_t i = scalar_idx[item - cohorts.size()];
           try {
-            const Timer setup_timer;
-            std::shared_ptr<const Calibration> cal;
-            std::array<bool, BitSlicedOracle::kMaxLanes> reused{};
-            for (std::size_t k = 0; k < idx.size(); ++k) {
-              bool r = false;
-              cal = get_or_build(requests[idx[k]].spec,
-                                 options_.diagnoser.delta,
-                                 options_.diagnoser.rule,
-                                 options_.diagnoser.validate_all_components,
-                                 DiagnosisModel::kMMStar, &r);
-              reused[k] = r;
-            }
-            Diagnoser& diagnoser = *lane_entry(lane, cal).diagnoser;
-            const double setup_seconds = setup_timer.seconds();
-            // A lane whose oracle does not match the calibrated graph fails
-            // alone; the others solve as a narrower cohort, which leaves
-            // their results and look-ups unchanged.
-            std::vector<std::size_t> lanes;  // positions k into idx
-            lanes.reserve(idx.size());
-            for (std::size_t k = 0; k < idx.size(); ++k) {
-              std::string why = graph_mismatch(*requests[idx[k]].oracle, *cal);
-              if (why.empty()) {
-                lanes.push_back(k);
-                continue;
-              }
-              results[idx[k]] =
-                  failed(std::move(why), reused[k], setup_seconds);
-            }
-            if (lanes.empty()) return;
-            std::vector<const TableOracle*> cohort;
-            cohort.reserve(lanes.size());
-            for (const std::size_t k : lanes) {
-              cohort.push_back(
-                  static_cast<const TableOracle*>(requests[idx[k]].oracle));
-            }
-            auto res = diagnoser.diagnose_cohort(cohort);
-            for (std::size_t c = 0; c < lanes.size(); ++c) {
-              const std::size_t k = lanes[c];
-              res[c].calibration_reused = reused[k];
-              res[c].setup_seconds = setup_seconds;
-              results[idx[k]] = std::move(res[c]);
-            }
+            results[i] = answer(requests[i], lane_scratch_[lane]);
           } catch (const std::exception& e) {
-            // A failing cohort fails alone; the stream goes on.
-            for (const std::size_t i : idx) {
-              results[i] = DiagnosisResult{};
-              results[i].failure_reason =
-                  std::string("engine setup failed: ") + e.what();
-            }
+            // A malformed or unsupported request fails alone.
+            results[i] = DiagnosisResult{};
+            results[i].failure_reason =
+                std::string("engine setup failed: ") + e.what();
           }
           return;
         }
-        const std::size_t i = scalar_idx[item - cohorts.size()];
-        const EngineRequest& request = requests[i];
-        DiagnosisResult& out = results[i];
+        const std::vector<std::size_t>& idx = cohorts[item];
         try {
           const Timer setup_timer;
-          bool reused = false;
-          if (request.directed != nullptr) {
-            const std::shared_ptr<const Calibration> cal = get_or_build(
-                request.spec, options_.diagnoser.delta,
-                options_.diagnoser.rule,
-                options_.diagnoser.validate_all_components,
-                request.directed->model(), &reused);
-            std::string why = graph_mismatch(request.directed->graph(), *cal);
-            if (!why.empty()) {
-              out = failed(std::move(why), reused, setup_timer.seconds());
-              return;
-            }
-            DirectedDiagnoser& driver = *lane_entry(lane, cal).directed;
-            const double setup_seconds = setup_timer.seconds();
-            out = run_directed(driver, cal->graph, *request.directed,
-                               request.local_node);
-            out.calibration_reused = reused;
-            out.setup_seconds = setup_seconds;
-            return;
-          }
-          const std::shared_ptr<const Calibration> cal = get_or_build(
-              request.spec, options_.diagnoser.delta, options_.diagnoser.rule,
-              options_.diagnoser.validate_all_components,
-              DiagnosisModel::kMMStar, &reused);
-          std::string why = graph_mismatch(*request.oracle, *cal);
-          if (!why.empty()) {
-            out = failed(std::move(why), reused, setup_timer.seconds());
-            return;
-          }
-          Diagnoser& diagnoser = *lane_entry(lane, cal).diagnoser;
+          std::vector<Admission> admitted;
+          admitted.reserve(idx.size());
+          for (const std::size_t i : idx) admitted.push_back(admit(requests[i]));
+          Diagnoser& diagnoser = mmstar_driver(
+              lane_entry(lane_scratch_[lane], admitted.back().calibration));
           const double setup_seconds = setup_timer.seconds();
-          out = diagnoser.diagnose(*request.oracle);
-          out.calibration_reused = reused;
-          out.setup_seconds = setup_seconds;
+          // A lane whose oracle does not match the calibrated graph fails
+          // alone; the others solve as a narrower cohort, which leaves
+          // their results and look-ups unchanged.
+          std::vector<std::size_t> lanes;  // positions k into idx
+          std::vector<const TableOracle*> cohort;
+          lanes.reserve(idx.size());
+          cohort.reserve(idx.size());
+          for (std::size_t k = 0; k < idx.size(); ++k) {
+            if (!admitted[k].refusal.empty()) {
+              results[idx[k]] = failed(std::move(admitted[k].refusal),
+                                       admitted[k].reused, setup_seconds);
+              continue;
+            }
+            lanes.push_back(k);
+            cohort.push_back(
+                static_cast<const TableOracle*>(requests[idx[k]].oracle));
+          }
+          if (lanes.empty()) return;
+          auto res = diagnoser.diagnose_cohort(cohort);
+          for (std::size_t c = 0; c < lanes.size(); ++c) {
+            const std::size_t k = lanes[c];
+            res[c].calibration_reused = admitted[k].reused;
+            res[c].setup_seconds = setup_seconds;
+            results[idx[k]] = std::move(res[c]);
+          }
         } catch (const std::exception& e) {
-          // A malformed or unsupported request fails alone.
-          out = DiagnosisResult{};
-          out.failure_reason = std::string("engine setup failed: ") + e.what();
+          // A failing cohort fails alone; the stream goes on.
+          for (const std::size_t i : idx) {
+            results[i] = DiagnosisResult{};
+            results[i].failure_reason =
+                std::string("engine setup failed: ") + e.what();
+          }
         }
       });
   return results;
@@ -484,8 +409,7 @@ std::unique_ptr<Diagnoser> DiagnosisEngine::make_diagnoser(
                                      diagnoser_options);
 }
 
-void DiagnosisEngine::prune_stale(
-    std::unordered_map<const Calibration*, LaneDiagnoser>& scratch) const {
+void DiagnosisEngine::prune_stale(LaneScratch& scratch) const {
   std::unordered_set<const Calibration*> resident;
   {
     const std::lock_guard<std::mutex> lock(mu_);

@@ -235,21 +235,48 @@ class DiagnosisEngine {
   std::array<std::mutex, kStripes> stripes_;
 
   std::mutex serve_mu_;  // one serve() at a time owns lane_scratch_
-  /// lane_scratch_[lane] maps calibration -> that lane's driver; touched
-  /// only by lane `lane` inside serve()'s parallel_for. A calibration is
-  /// MM* or directed (the model is in its cache key), so exactly one of
-  /// the two driver slots is populated per entry.
+  /// One calibration's drivers, each built on first use: a calibration is
+  /// MM* or directed (the model is in its cache key), so at most one of the
+  /// two slots is ever filled.
   struct LaneDiagnoser {
     std::shared_ptr<const Calibration> calibration;
     std::unique_ptr<Diagnoser> diagnoser;
     std::unique_ptr<DirectedDiagnoser> directed;
   };
-  std::vector<std::unordered_map<const Calibration*, LaneDiagnoser>>
-      lane_scratch_;
+  using LaneScratch = std::unordered_map<const Calibration*, LaneDiagnoser>;
+  /// lane_scratch_[lane] is touched only by lane `lane` inside serve()'s
+  /// parallel_for; the single-request entry points pass a fresh map.
+  std::vector<LaneScratch> lane_scratch_;
+
+  /// The admit step of a well-formed request: the calibration for its
+  /// model (throws what get_or_build throws), whether it was reused, and a
+  /// refusal when the oracle's graph differs from the calibrated one in
+  /// node count or degree sequence (the solver would read out of bounds).
+  struct Admission {
+    std::shared_ptr<const Calibration> calibration;
+    bool reused = false;
+    std::string refusal;
+  };
+  [[nodiscard]] Admission admit(const EngineRequest& request);
+
+  /// The one request body: admit, answer with `drivers`' driver for the
+  /// calibration (MM* solve, directed solve, or the BGM local fast path
+  /// with its global fallback), and stamp the setup/solve split.
+  [[nodiscard]] DiagnosisResult answer(const EngineRequest& request,
+                                       LaneScratch& drivers);
+
+  /// The entry for `cal` in `scratch`. Stale entries for evicted
+  /// calibrations can never be looked up again (the pointer differs), so
+  /// on overflow those are pruned first, keeping pinned memory
+  /// proportional to the cache capacity; only if every entry is still
+  /// resident is the map cleared outright.
+  LaneDiagnoser& lane_entry(LaneScratch& scratch,
+                            const std::shared_ptr<const Calibration>& cal) const;
+  Diagnoser& mmstar_driver(LaneDiagnoser& entry) const;
+  DirectedDiagnoser& directed_driver(LaneDiagnoser& entry) const;
 
   /// Drops scratch entries whose calibration the LRU has since evicted.
-  void prune_stale(
-      std::unordered_map<const Calibration*, LaneDiagnoser>& scratch) const;
+  void prune_stale(LaneScratch& scratch) const;
 };
 
 }  // namespace mmdiag

@@ -180,7 +180,7 @@ std::vector<Node> min_vertex_cut(const Graph& g, Node s, Node t) {
 }
 
 bool is_articulation_set(const Graph& g, const std::vector<Node>& cut) {
-  StampSet removed(g.num_nodes());
+  DirtyBitset removed(g.num_nodes());
   for (const Node v : cut) removed.insert(v);
   // Find a surviving start node.
   Node start = kNoNode;
@@ -194,7 +194,7 @@ bool is_articulation_set(const Graph& g, const std::vector<Node>& cut) {
   if (survivors == 0) {
     throw std::invalid_argument("cut removes every node");
   }
-  StampSet visited(g.num_nodes());
+  DirtyBitset visited(g.num_nodes());
   std::vector<Node> queue{start};
   visited.insert(start);
   std::size_t seen = 1;

@@ -8,7 +8,7 @@
 namespace mmdiag {
 
 void write_dot(std::ostream& os, const Graph& g, const DotStyle& style) {
-  StampSet hi(g.num_nodes());
+  DirtyBitset hi(g.num_nodes());
   for (const Node v : style.highlighted) hi.insert(v);
 
   auto edge_key = [](Node a, Node b) {

@@ -60,9 +60,9 @@ bool is_connected(const Graph& g) {
 
 bool induced_subgraph_connected(const Graph& g, const std::vector<Node>& members) {
   if (members.empty()) throw std::invalid_argument("empty member set");
-  StampSet in_set(g.num_nodes());
+  DirtyBitset in_set(g.num_nodes());
   for (const Node v : members) in_set.insert(v);
-  StampSet visited(g.num_nodes());
+  DirtyBitset visited(g.num_nodes());
   std::vector<Node> queue{members.front()};
   visited.insert(members.front());
   std::size_t seen = 1;

@@ -7,7 +7,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "topology/registry.hpp"
 #include "util/parse.hpp"
 
 namespace mmdiag {
@@ -75,22 +74,35 @@ bool next_body_record(std::istream& is, HeaderInfo& h, std::string& line,
   return next_record(is, line, lineno);
 }
 
-[[noreturn]] void fail_wrong_model(std::size_t lineno, DiagnosisModel model,
-                                   bool want_directed) {
-  const std::string name = diagnosis_model_to_string(model);
-  if (want_directed) {
-    fail(lineno, "file carries an mm-star syndrome (model '" + name +
-                     "'): use read_syndrome");
+/// The shared header-and-resolve step: the header, a refusal of the other
+/// model family, and the graph `resolve` maps the spec to.
+const Graph& resolve_header(std::istream& is, HeaderInfo& h,
+                            std::size_t& lineno, bool want_directed,
+                            const GraphResolver& resolve) {
+  h = read_header(is, lineno);
+  if (is_directed_model(h.model) != want_directed) {
+    const std::string name = diagnosis_model_to_string(h.model);
+    if (want_directed) {
+      fail(lineno, "file carries an mm-star syndrome (model '" + name +
+                       "'): use read_syndrome");
+    }
+    fail(lineno, "file carries a directed syndrome (model '" + name +
+                     "'): use read_directed_syndrome");
   }
-  fail(lineno, "file carries a directed syndrome (model '" + name +
-                   "'): use read_directed_syndrome");
+  try {
+    return resolve(h.spec);
+  } catch (const std::exception& e) {
+    fail(lineno, "cannot resolve topology spec '" + h.spec + "': " + e.what());
+  }
 }
 
-/// Shared body: the "node <id> <bits>" records up to "end", writing into a
-/// syndrome sized for `graph`.
-Syndrome read_syndrome_records(std::istream& is, HeaderInfo& h,
-                               const Graph& graph, std::size_t& lineno) {
-  Syndrome syndrome(graph);
+/// Shared body: the "node <id> <bits>" records up to "end", written into a
+/// syndrome sized for `graph`. A degree-d node carries width(d) bits, which
+/// store(syndrome, node, d, bits) writes once they are checked.
+template <typename SyndromeT, typename Width, typename Store>
+SyndromeT read_records(std::istream& is, HeaderInfo& h, const Graph& graph,
+                       std::size_t& lineno, Width width, Store store) {
+  SyndromeT syndrome(graph);
   std::vector<bool> seen(graph.num_nodes(), false);
   std::size_t remaining = graph.num_nodes();
   std::string line;
@@ -111,64 +123,18 @@ Syndrome read_syndrome_records(std::istream& is, HeaderInfo& h,
     if (seen[id]) fail(lineno, "duplicate node record");
     seen[id] = true;
     --remaining;
-    const unsigned d = graph.degree(static_cast<Node>(id));
-    const std::size_t expected = static_cast<std::size_t>(d) * (d - 1) / 2;
+    const Node u = static_cast<Node>(id);
+    const unsigned d = graph.degree(u);
+    const std::size_t expected = width(d);
     if (bits == "-" && expected == 0) continue;
     if (bits.size() != expected) {
       fail(lineno, "expected " + std::to_string(expected) + " bits, got " +
                        std::to_string(bits.size()));
     }
-    std::size_t cursor = 0;
-    for (unsigned i = 0; i + 1 < d; ++i) {
-      for (unsigned j = i + 1; j < d; ++j, ++cursor) {
-        if (bits[cursor] != '0' && bits[cursor] != '1') {
-          fail(lineno, "bits must be 0 or 1");
-        }
-        syndrome.set_test(static_cast<Node>(id), i, j, bits[cursor] == '1');
-      }
+    if (bits.find_first_not_of("01") != std::string::npos) {
+      fail(lineno, "bits must be 0 or 1");
     }
-  }
-  fail(lineno, "missing 'end'");
-}
-
-/// Directed body: <bits> is the node's outgoing arc run, one character per
-/// adjacency position (character p = outcome of testing neighbour p).
-DirectedSyndrome read_directed_records(std::istream& is, HeaderInfo& h,
-                                       const Graph& graph,
-                                       std::size_t& lineno) {
-  DirectedSyndrome syndrome(graph);
-  std::vector<bool> seen(graph.num_nodes(), false);
-  std::size_t remaining = graph.num_nodes();
-  std::string line;
-  while (next_body_record(is, h, line, lineno)) {
-    if (line == "end") {
-      if (remaining != 0) {
-        fail(lineno, std::to_string(remaining) + " node record(s) missing");
-      }
-      return syndrome;
-    }
-    std::istringstream ls(line);
-    std::string keyword, bits;
-    std::uint64_t id = 0;
-    if (!(ls >> keyword >> id >> bits) || keyword != "node") {
-      fail(lineno, "expected 'node <id> <bits>'");
-    }
-    if (id >= graph.num_nodes()) fail(lineno, "node id out of range");
-    if (seen[id]) fail(lineno, "duplicate node record");
-    seen[id] = true;
-    --remaining;
-    const unsigned d = graph.degree(static_cast<Node>(id));
-    if (bits == "-" && d == 0) continue;
-    if (bits.size() != d) {
-      fail(lineno, "expected " + std::to_string(d) + " bits, got " +
-                       std::to_string(bits.size()));
-    }
-    for (unsigned p = 0; p < d; ++p) {
-      if (bits[p] != '0' && bits[p] != '1') {
-        fail(lineno, "bits must be 0 or 1");
-      }
-      syndrome.set_test(static_cast<Node>(id), p, bits[p] == '1');
-    }
+    store(syndrome, u, d, bits);
   }
   fail(lineno, "missing 'end'");
 }
@@ -199,37 +165,24 @@ void write_syndrome(std::ostream& os, const std::string& spec,
   os << "end\n";
 }
 
-LoadedSyndrome read_syndrome(std::istream& is) {
+ParsedSyndrome read_syndrome(std::istream& is, const GraphResolver& resolve) {
   std::size_t lineno = 0;
-  HeaderInfo h = read_header(is, lineno);
-  if (is_directed_model(h.model)) fail_wrong_model(lineno, h.model, false);
-  LoadedSyndrome out{h.spec, nullptr, Graph{}, Syndrome{Graph{}}};
-  try {
-    out.topology = make_topology_from_spec(out.spec);
-  } catch (const std::exception& e) {
-    fail(lineno, std::string("bad topology spec: ") + e.what());
-  }
-  out.graph = out.topology->build_graph();
-  out.syndrome = read_syndrome_records(is, h, out.graph, lineno);
-  return out;
-}
-
-ParsedSyndrome read_syndrome(
-    std::istream& is,
-    const std::function<const Graph&(const std::string& spec)>& resolve) {
-  std::size_t lineno = 0;
-  HeaderInfo h = read_header(is, lineno);
-  if (is_directed_model(h.model)) fail_wrong_model(lineno, h.model, false);
-  ParsedSyndrome out{h.spec, Syndrome{Graph{}}};
-  const Graph* graph = nullptr;
-  try {
-    graph = &resolve(out.spec);
-  } catch (const std::exception& e) {
-    fail(lineno, "cannot resolve topology spec '" + out.spec +
-                     "': " + e.what());
-  }
-  out.syndrome = read_syndrome_records(is, h, *graph, lineno);
-  return out;
+  HeaderInfo h;
+  const Graph& graph = resolve_header(is, h, lineno, false, resolve);
+  // Under MM* a node's bits are its pair tests in (i, j) lexicographic
+  // order over adjacency positions.
+  Syndrome syndrome = read_records<Syndrome>(
+      is, h, graph, lineno,
+      [](unsigned d) { return static_cast<std::size_t>(d) * (d - 1) / 2; },
+      [](Syndrome& out, Node u, unsigned d, const std::string& bits) {
+        std::size_t cursor = 0;
+        for (unsigned i = 0; i + 1 < d; ++i) {
+          for (unsigned j = i + 1; j < d; ++j, ++cursor) {
+            out.set_test(u, i, j, bits[cursor] == '1');
+          }
+        }
+      });
+  return ParsedSyndrome{std::move(h.spec), std::move(syndrome)};
 }
 
 void write_directed_syndrome(std::ostream& os, const std::string& spec,
@@ -255,20 +208,20 @@ void write_directed_syndrome(std::ostream& os, const std::string& spec,
   os << "end\n";
 }
 
-LoadedDirectedSyndrome read_directed_syndrome(std::istream& is) {
+ParsedDirectedSyndrome read_directed_syndrome(std::istream& is,
+                                              const GraphResolver& resolve) {
   std::size_t lineno = 0;
-  HeaderInfo h = read_header(is, lineno);
-  if (!is_directed_model(h.model)) fail_wrong_model(lineno, h.model, true);
-  LoadedDirectedSyndrome out{h.spec, h.model, nullptr, Graph{},
-                             DirectedSyndrome{Graph{}}};
-  try {
-    out.topology = make_topology_from_spec(out.spec);
-  } catch (const std::exception& e) {
-    fail(lineno, std::string("bad topology spec: ") + e.what());
-  }
-  out.graph = out.topology->build_graph();
-  out.syndrome = read_directed_records(is, h, out.graph, lineno);
-  return out;
+  HeaderInfo h;
+  const Graph& graph = resolve_header(is, h, lineno, true, resolve);
+  // Under PMC/BGM a node's bits are its outgoing arcs: character p is the
+  // outcome of testing neighbour p.
+  DirectedSyndrome syndrome = read_records<DirectedSyndrome>(
+      is, h, graph, lineno, [](unsigned d) { return std::size_t{d}; },
+      [](DirectedSyndrome& out, Node u, unsigned d, const std::string& bits) {
+        for (unsigned p = 0; p < d; ++p) out.set_test(u, p, bits[p] == '1');
+      });
+  return ParsedDirectedSyndrome{std::move(h.spec), h.model,
+                                std::move(syndrome)};
 }
 
 void write_node_list(std::ostream& os, const std::vector<Node>& nodes) {

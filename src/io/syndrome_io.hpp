@@ -23,31 +23,14 @@
 
 #include <functional>
 #include <iosfwd>
-#include <memory>
 #include <string>
 
 #include "graph/graph.hpp"
 #include "mm/directed_syndrome.hpp"
 #include "mm/syndrome.hpp"
-#include "topology/topology.hpp"
 #include "util/enum_names.hpp"
 
 namespace mmdiag {
-
-struct LoadedSyndrome {
-  std::string spec;                 // e.g. "hypercube 8"
-  std::unique_ptr<Topology> topology;
-  Graph graph;
-  Syndrome syndrome;
-};
-
-struct LoadedDirectedSyndrome {
-  std::string spec;
-  DiagnosisModel model = DiagnosisModel::kPMC;
-  std::unique_ptr<Topology> topology;
-  Graph graph;
-  DirectedSyndrome syndrome;
-};
 
 /// Just the header of a syndrome file (version, topology, optional model)
 /// — lets a caller dispatch to the matching reader before a full parse.
@@ -57,21 +40,36 @@ struct SyndromeFileHeader {
 };
 [[nodiscard]] SyndromeFileHeader peek_syndrome_header(std::istream& is);
 
-/// A syndrome parsed against a caller-resolved graph (no per-file topology
-/// or graph build — see the resolver overload of read_syndrome).
+/// Maps a file's topology line to the graph its syndrome is read against.
+/// Engine-backed callers (the CLI, serve, batch) resolve through the
+/// calibration cache, so a file is read against the calibrated graph and a
+/// thousand-file request stream touches one shared adjacency per spec. The
+/// resolver owns the graph's lifetime and may throw (reported as a
+/// line-numbered parse error naming the spec).
+using GraphResolver = std::function<const Graph&(const std::string& spec)>;
+
+/// A syndrome parsed against a resolved graph.
 struct ParsedSyndrome {
   std::string spec;      // the topology line, as written
   Syndrome syndrome;     // addressed by the resolved graph's adjacency
+};
+
+struct ParsedDirectedSyndrome {
+  std::string spec;      // the topology line, as written
+  DiagnosisModel model = DiagnosisModel::kPMC;
+  DirectedSyndrome syndrome;
 };
 
 /// Serialise a syndrome together with its topology spec.
 void write_syndrome(std::ostream& os, const std::string& spec,
                     const Graph& graph, const Syndrome& syndrome);
 
-/// Parse an MM* syndrome file; throws std::runtime_error with a
-/// line-numbered message on any malformed input, including a file whose
-/// model line names a directed model (use read_directed_syndrome there).
-[[nodiscard]] LoadedSyndrome read_syndrome(std::istream& is);
+/// Parse an MM* syndrome file against `resolve(spec)`; throws
+/// std::runtime_error with a line-numbered message on any malformed input,
+/// including a file whose model line names a directed model (use
+/// read_directed_syndrome there).
+[[nodiscard]] ParsedSyndrome read_syndrome(std::istream& is,
+                                           const GraphResolver& resolve);
 
 /// Serialise a directed (PMC/BGM) syndrome; the model line is always
 /// written. Throws std::invalid_argument on a non-directed model.
@@ -79,19 +77,11 @@ void write_directed_syndrome(std::ostream& os, const std::string& spec,
                              DiagnosisModel model, const Graph& graph,
                              const DirectedSyndrome& syndrome);
 
-/// Parse a directed syndrome file (same error discipline as read_syndrome;
-/// an MM* file — no model line, or "model mm-star" — is rejected).
-[[nodiscard]] LoadedDirectedSyndrome read_directed_syndrome(std::istream& is);
-
-/// As above, but the graph comes from `resolve(spec)` instead of a fresh
-/// topology+graph build per file. Engine-backed entry points (serve, batch)
-/// pass a resolver over the calibration cache, so a thousand-file request
-/// stream touches one shared adjacency per spec. The resolver owns the
-/// graph's lifetime and may throw (reported as a line-numbered parse error
-/// naming the spec).
-[[nodiscard]] ParsedSyndrome read_syndrome(
-    std::istream& is,
-    const std::function<const Graph&(const std::string& spec)>& resolve);
+/// Parse a directed syndrome file (same resolver and error discipline as
+/// read_syndrome; an MM* file — no model line, or "model mm-star" — is
+/// rejected).
+[[nodiscard]] ParsedDirectedSyndrome read_directed_syndrome(
+    std::istream& is, const GraphResolver& resolve);
 
 /// Convenience: node list serialisation ("3 17 42\n"), used for fault sets.
 /// read_node_list skips blank and '#' lines, accepts ids split over any

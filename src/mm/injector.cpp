@@ -11,7 +11,7 @@ std::vector<Node> inject_uniform(std::size_t num_nodes, std::size_t count,
                                  Rng& rng) {
   if (count > num_nodes) throw std::invalid_argument("more faults than nodes");
   // Floyd's algorithm for a uniform distinct sample.
-  StampSet chosen(num_nodes);
+  DirtyBitset chosen(num_nodes);
   std::vector<Node> out;
   out.reserve(count);
   for (std::size_t i = num_nodes - count; i < num_nodes; ++i) {
@@ -35,7 +35,7 @@ std::vector<Node> inject_clustered(const Graph& g, Node center,
                                    std::size_t count) {
   if (count > g.num_nodes()) throw std::invalid_argument("more faults than nodes");
   if (count == 0) return {};  // the ball of 0 nodes excludes even the centre
-  StampSet visited(g.num_nodes());
+  DirtyBitset visited(g.num_nodes());
   std::vector<Node> queue{center};
   visited.insert(center);
   for (std::size_t head = 0; head < queue.size() && queue.size() < count; ++head) {

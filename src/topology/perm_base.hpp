@@ -32,7 +32,8 @@ class PermTopology : public Topology {
   partition_plans() const override {
     // Only the single-level split exists: fixing any earlier position does
     // not induce a connected subgraph in these families (position-1 moves
-    // would leave the component). See DESIGN.md §4.3.
+    // would leave the component). For k = 2 the components are cliques
+    // and never certify (CertifiedPartition.CliqueComponentsNeverCertify).
     if (k_ < 2) return {};
     return {std::make_shared<FixLastSymbolPlan>(n_, k_)};
   }

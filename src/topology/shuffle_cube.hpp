@@ -7,7 +7,7 @@
 // where V_c is a class-specific set of four nonzero 4-bit masks. Degree
 // therefore grows by 4 per recursion level: deg(SQ_n) = n. κ = n.
 //
-// DEVIATION (documented in DESIGN.md §4.4): the original mask table of [17]
+// DEVIATION from [17]: the original mask table of [17]
 // is not available offline. The table below is chosen to satisfy every
 // property the paper's algorithm uses — n-regularity, κ = n, and the 16-way
 // recursive partition — and κ(SQ_6) = 6 is verified exactly by max-flow in

@@ -1,8 +1,9 @@
-// Packed bit vector and an epoch-stamped node-set.
+// Packed bit vector and a packed node set.
 //
 // BitVec backs syndrome tables (hundreds of millions of bits).
-// StampSet gives O(1) clear between repeated algorithm runs over the same
-// graph, which keeps Set_Builder at O(Δ·|U_r|) rather than O(N) per probe.
+// DirtyBitset's clear() costs the words a run dirtied, not O(N), which
+// keeps Set_Builder at O(Δ·|U_r|) per probe across repeated runs over the
+// same graph.
 #pragma once
 
 #include <cassert>
@@ -94,10 +95,11 @@ inline void transpose64(std::uint64_t a[64]) noexcept {
 /// thrash (4 bytes per element). clear() zeroes only the words insert()
 /// dirtied, so sparse uses (partition probes touching one component of a
 /// huge graph) stay O(|set|), not O(n). Membership survives until the next
-/// clear(), exactly like StampSet.
+/// clear().
 class DirtyBitset {
  public:
   DirtyBitset() = default;
+  explicit DirtyBitset(std::size_t n) { resize(n); }
 
   void resize(std::size_t n) {
     words_.assign((n + 63) / 64, 0u);
@@ -132,42 +134,6 @@ class DirtyBitset {
  private:
   std::vector<std::uint64_t> words_;
   std::vector<std::uint32_t> dirty_;  // indices of nonzero words
-};
-
-/// A set over [0, n) supporting O(1) insert/lookup and O(1) bulk clear via
-/// epoch stamps. Membership survives only until the next clear().
-class StampSet {
- public:
-  StampSet() = default;
-  explicit StampSet(std::size_t n) : stamp_(n, 0) {}
-
-  void resize(std::size_t n) {
-    stamp_.assign(n, 0);
-    epoch_ = 1;
-  }
-
-  void clear() noexcept {
-    ++epoch_;
-    if (epoch_ == 0) {  // wrapped: do the rare O(n) reset
-      std::fill(stamp_.begin(), stamp_.end(), 0u);
-      epoch_ = 1;
-    }
-  }
-
-  [[nodiscard]] bool contains(Node v) const noexcept { return stamp_[v] == epoch_; }
-
-  /// Returns true if v was newly inserted.
-  bool insert(Node v) noexcept {
-    if (stamp_[v] == epoch_) return false;
-    stamp_[v] = epoch_;
-    return true;
-  }
-
-  [[nodiscard]] std::size_t capacity() const noexcept { return stamp_.size(); }
-
- private:
-  std::vector<std::uint32_t> stamp_;
-  std::uint32_t epoch_ = 1;
 };
 
 }  // namespace mmdiag

@@ -28,13 +28,11 @@ namespace mmdiag {
 enum class ParentRule : std::uint8_t {
   kLeastFirst,
   kSpread,
-  kLeastSync,
   kHashSpread,
 };
 
 inline constexpr ParentRule kAllParentRules[] = {
-    ParentRule::kLeastFirst, ParentRule::kSpread, ParentRule::kLeastSync,
-    ParentRule::kHashSpread};
+    ParentRule::kLeastFirst, ParentRule::kSpread, ParentRule::kHashSpread};
 
 // ---------------------------------------------------------------------------
 // GraphMode — the graph a calibration is laid out on. Only the CSR Graph
@@ -83,8 +81,6 @@ inline std::string canonical_enum_name(const std::string& name) {
       return "least-first";
     case ParentRule::kSpread:
       return "spread";
-    case ParentRule::kLeastSync:
-      return "least-sync";
     case ParentRule::kHashSpread:
       return "hash-spread";
   }
@@ -109,8 +105,8 @@ inline std::string canonical_enum_name(const std::string& name) {
     if (canon == to_string(rule)) return rule;
   }
   throw std::invalid_argument("unknown parent rule '" + name +
-                              "' (expected least-first, spread, least-sync, "
-                              "or hash-spread)");
+                              "' (expected least-first, spread or "
+                              "hash-spread)");
 }
 
 [[nodiscard]] inline std::string to_string(GraphMode mode) {

@@ -146,7 +146,7 @@ TEST(Yang, GrayCodeCyclesAreHamiltonianInSubcubes) {
   EXPECT_EQ(yang.subcube_dim(), 3u);  // minimal m with 2^m > 7
   const Node len = Node{1} << yang.subcube_dim();
   for (std::size_t c = 0; c < yang.num_cycles(); ++c) {
-    StampSet seen(inst.graph.num_nodes());
+    DirtyBitset seen(inst.graph.num_nodes());
     for (Node t = 0; t < len; ++t) {
       const Node u = yang.cycle_node(c, t);
       const Node v = yang.cycle_node(c, (t + 1) & (len - 1));

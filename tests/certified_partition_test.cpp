@@ -1,4 +1,4 @@
-// Runtime calibration of partition plans (DESIGN.md §4.1/§4.2).
+// Runtime calibration of partition plans (core/certified_partition.hpp).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -27,7 +27,7 @@ TEST(CertifiedPartition, HypercubeQ7Certifies) {
   }
 }
 
-// The ablation behind DESIGN.md §4.2: under the paper's least-first rule a
+// The parent-rule ablation: under the paper's least-first rule a
 // fault-free Q_4 component yields exactly 8 contributors, which cannot
 // exceed delta = 8, and no coarser plan leaves 9 components — so Q_8 is
 // un-certifiable under the paper's rule but fine under the spread rule.
@@ -54,7 +54,7 @@ TEST(CertifiedPartition, FinerPlansPreferred) {
 TEST(CertifiedPartition, CliqueComponentsNeverCertify) {
   // S_{n,2} components are cliques K_{n-1}: a Set_Builder tree in a clique
   // has exactly one internal node, so certification is impossible
-  // (DESIGN.md §4.3, correcting the paper's Theorem 5 for k = 2).
+  // (this corrects the paper's Theorem 5 for k = 2).
   test::Instance inst("nk_star 6 2");
   EXPECT_THROW((void)find_certified_partition(*inst.topo, inst.graph,
                                         inst.topo->default_fault_bound(),

@@ -2,8 +2,8 @@
 // every faulty-tester behaviour and several fault counts and injection
 // patterns, the driver returns exactly the injected fault set.
 //
-// Instance sizes are the smallest per family whose partitions certify (see
-// DESIGN.md §4 and the support matrix in EXPERIMENTS.md).
+// Instance sizes are the smallest per family whose partitions certify
+// (certified_partition_test pins the sizes below which they do not).
 #include <gtest/gtest.h>
 
 #include "core/diagnoser.hpp"

@@ -16,6 +16,7 @@
 #include "core/diagnoser.hpp"
 #include "engine/engine.hpp"
 #include "mm/directed_oracle.hpp"
+#include "mm/directed_syndrome.hpp"
 #include "mm/injector.hpp"
 #include "mm/syndrome.hpp"
 #include "test_util.hpp"
@@ -274,6 +275,78 @@ TEST(DiagnosisEngine, DiagnoseRefusesAnOracleOverAnotherGraph) {
   const std::vector<DiagnosisResult> served =
       engine.serve({EngineRequest{"hypercube 10", nullptr, &directed}});
   EXPECT_TRUE(refused_as_mismatch(served.at(0)));
+}
+
+TEST(DiagnosisEngine, SingleRequestEntryPointsMatchServe) {
+  // The single-request entry points and serve()'s scalar lane run one
+  // request body, so each answer must equal serve({request})[0]. Every
+  // request gets a fresh oracle per call: look-up counters accumulate.
+  const test::Instance inst("hypercube 7");
+  DiagnosisEngine engine;
+  const FaultSet faults(inst.graph.num_nodes(), {5, 12});
+  const Syndrome mm_syndrome =
+      generate_syndrome(inst.graph, faults, FaultyBehavior::kRandom, 3);
+  DirectedSyndrome all_ones(inst.graph);
+  for (Node u = 0; u < inst.graph.num_nodes(); ++u) {
+    for (unsigned p = 0; p < inst.graph.degree(u); ++p) {
+      all_ones.set_test(u, p, true);
+    }
+  }
+  const auto lazy = [&](DiagnosisModel model) {
+    return DirectedLazyOracle(inst.graph, faults, model,
+                              FaultyBehavior::kRandom, 3);
+  };
+  const auto expect_same = [&](const DiagnosisResult& single,
+                               const EngineRequest& request) {
+    const DiagnosisResult served = engine.serve({request}).at(0);
+    EXPECT_EQ(single.success, served.success);
+    EXPECT_EQ(single.faults, served.faults);
+    EXPECT_EQ(single.failure_reason, served.failure_reason);
+    EXPECT_EQ(single.lookups, served.lookups);
+    EXPECT_EQ(single.probes, served.probes);
+    EXPECT_EQ(single.certified_component, served.certified_component);
+    EXPECT_EQ(single.final_members, served.final_members);
+    EXPECT_EQ(single.final_rounds, served.final_rounds);
+    EXPECT_EQ(single.used_local_fast_path, served.used_local_fast_path);
+  };
+  {
+    SCOPED_TRACE("mm-star table");
+    const TableOracle a(inst.graph, mm_syndrome), b(inst.graph, mm_syndrome);
+    const DiagnosisResult single = engine.diagnose("hypercube 7", a);
+    EXPECT_TRUE(single.success) << single.failure_reason;
+    expect_same(single, EngineRequest{"hypercube 7", &b});
+  }
+  for (const DiagnosisModel model :
+       {DiagnosisModel::kPMC, DiagnosisModel::kBGM}) {
+    SCOPED_TRACE(diagnosis_model_to_string(model) + " global");
+    const DirectedLazyOracle a = lazy(model), b = lazy(model);
+    const DiagnosisResult single = engine.diagnose_directed("hypercube 7", a);
+    EXPECT_EQ(single.faults, faults.nodes());
+    expect_same(single, EngineRequest{"hypercube 7", nullptr, &b});
+  }
+  {
+    SCOPED_TRACE("bgm local, fast path");
+    const DirectedLazyOracle a = lazy(DiagnosisModel::kBGM),
+                             b = lazy(DiagnosisModel::kBGM);
+    const DiagnosisResult single = engine.local_diagnose("hypercube 7", a, 5);
+    EXPECT_TRUE(single.used_local_fast_path);
+    expect_same(single, EngineRequest{"hypercube 7", nullptr, &b, 5});
+  }
+  {
+    SCOPED_TRACE("bgm local, global fallback");
+    const DirectedTableOracle a(inst.graph, all_ones, DiagnosisModel::kBGM),
+        b(inst.graph, all_ones, DiagnosisModel::kBGM);
+    const DiagnosisResult single = engine.local_diagnose("hypercube 7", a, 0);
+    EXPECT_FALSE(single.used_local_fast_path);
+    expect_same(single, EngineRequest{"hypercube 7", nullptr, &b, 0});
+  }
+  {
+    SCOPED_TRACE("mismatched graph");
+    const TableOracle a(inst.graph, mm_syndrome), b(inst.graph, mm_syndrome);
+    const DiagnosisResult single = engine.diagnose("hypercube 8", a);
+    EXPECT_TRUE(refused_as_mismatch(single)) << single.failure_reason;
+    expect_same(single, EngineRequest{"hypercube 8", &b});
+  }
 }
 
 TEST(DiagnosisEngine, CohortLaneOverAnotherGraphFailsAlone) {

@@ -2,6 +2,7 @@
 // diagnosis through the serialisation boundary.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
 
 #include "core/diagnoser.hpp"
@@ -24,9 +25,10 @@ TEST(SyndromeIo, RoundTripPreservesEveryBit) {
         generate_syndrome(inst.graph, faults, FaultyBehavior::kRandom, 9);
     std::stringstream buffer;
     write_syndrome(buffer, spec, inst.graph, original);
-    const LoadedSyndrome loaded = read_syndrome(buffer);
+    test::Resolver resolve;
+    const ParsedSyndrome loaded = read_syndrome(buffer, std::ref(resolve));
     EXPECT_EQ(loaded.spec, spec);
-    ASSERT_EQ(loaded.graph.num_nodes(), inst.graph.num_nodes());
+    ASSERT_EQ(resolve(spec).num_nodes(), inst.graph.num_nodes());
     for (Node u = 0; u < inst.graph.num_nodes(); ++u) {
       const unsigned d = inst.graph.degree(u);
       for (unsigned i = 0; i + 1 < d; ++i) {
@@ -48,9 +50,11 @@ TEST(SyndromeIo, DiagnosisThroughTheFileBoundary) {
   std::stringstream buffer;
   write_syndrome(buffer, "hypercube 7", inst.graph, syndrome);
 
-  LoadedSyndrome loaded = read_syndrome(buffer);
-  Diagnoser diagnoser(*loaded.topology, loaded.graph);
-  const TableOracle oracle(loaded.graph, loaded.syndrome);
+  test::Resolver resolve;
+  const ParsedSyndrome loaded = read_syndrome(buffer, std::ref(resolve));
+  const test::Instance& read_back = resolve.instance(loaded.spec);
+  Diagnoser diagnoser(*read_back.topo, read_back.graph);
+  const TableOracle oracle(read_back.graph, loaded.syndrome);
   const auto result = diagnoser.diagnose(oracle);
   ASSERT_TRUE(result.success) << result.failure_reason;
   EXPECT_EQ(result.faults, faults.nodes());
@@ -64,24 +68,28 @@ TEST(SyndromeIo, CommentsAndBlankLinesTolerated) {
   std::string text = buffer.str();
   text.insert(text.find("node 1"), "# a comment\n\n");
   std::stringstream patched(text);
-  EXPECT_NO_THROW((void)read_syndrome(patched));
+  test::Resolver resolve;
+  EXPECT_NO_THROW((void)read_syndrome(patched, std::ref(resolve)));
 }
 
 TEST(SyndromeIo, MalformedInputsRejectedWithLineNumbers) {
   const auto expect_fail = [](const std::string& text,
                               const std::string& fragment) {
     std::stringstream in(text);
+    test::Resolver resolve;
     try {
-      (void)read_syndrome(in);
+      (void)read_syndrome(in, std::ref(resolve));
       FAIL() << "expected failure for: " << fragment;
     } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find(fragment), std::string::npos)
-          << e.what();
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("syndrome file, line ", 0), 0u) << what;
+      EXPECT_NE(what.find(fragment), std::string::npos) << what;
     }
   };
   expect_fail("garbage\n", "expected header");
   expect_fail("mmdiag-syndrome v1\nnope\n", "expected 'topology");
-  expect_fail("mmdiag-syndrome v1\ntopology bogus 3\n", "bad topology spec");
+  expect_fail("mmdiag-syndrome v1\ntopology bogus 3\n",
+              "line 2: cannot resolve topology spec 'bogus 3'");
   // Valid header, bad node records.
   test::Instance inst("hypercube 2");
   const Syndrome s(inst.graph);

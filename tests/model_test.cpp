@@ -4,6 +4,7 @@
 // provenance lines of the .repro and syndrome file formats.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -18,6 +19,7 @@
 #include "mm/fault_set.hpp"
 #include "mm/syndrome.hpp"
 #include "topology/registry.hpp"
+#include "test_util.hpp"
 #include "util/enum_names.hpp"
 
 namespace mmdiag {
@@ -267,9 +269,12 @@ TEST(SyndromeFileModel, DirectedRoundTripPerModel) {
     EXPECT_EQ(header.model, model);
     EXPECT_EQ(header.spec, "hypercube 4");
 
-    const LoadedDirectedSyndrome back = read_directed_syndrome(ss);
+    test::Resolver resolve;
+    const ParsedDirectedSyndrome back =
+        read_directed_syndrome(ss, std::ref(resolve));
     EXPECT_EQ(back.model, model);
-    ASSERT_EQ(back.graph.num_nodes(), q4.num_nodes());
+    EXPECT_EQ(back.spec, "hypercube 4");
+    ASSERT_EQ(resolve("hypercube 4").num_nodes(), q4.num_nodes());
     for (Node u = 0; u < q4.num_nodes(); ++u) {
       EXPECT_EQ(back.syndrome.row_bits(u), qs.row_bits(u));
     }
@@ -284,8 +289,26 @@ TEST(SyndromeFileModel, ReadersRejectTheWrongFamily) {
   std::stringstream directed_file;
   write_directed_syndrome(directed_file, "hypercube 4", DiagnosisModel::kPMC,
                           q4, qs);
-  EXPECT_THROW(static_cast<void>(read_syndrome(directed_file)),
-               std::runtime_error);
+  test::Resolver resolve;
+  const auto expect_line_error = [](const auto& read, const std::string& text,
+                                    const std::string& fragment) {
+    std::istringstream in(text);
+    try {
+      static_cast<void>(read(in));
+      ADD_FAILURE() << "expected failure for: " << fragment;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("syndrome file, line ", 0), 0u) << what;
+      EXPECT_NE(what.find(fragment), std::string::npos) << what;
+    }
+  };
+  const auto read_mm = [&](std::istream& in) {
+    return read_syndrome(in, std::ref(resolve));
+  };
+  const auto read_directed = [&](std::istream& in) {
+    return read_directed_syndrome(in, std::ref(resolve));
+  };
+  expect_line_error(read_mm, directed_file.str(), "use read_directed_syndrome");
 
   // An MM* file — no model line at all — is rejected by the directed
   // reader and defaults to mm-star under the peeker.
@@ -293,9 +316,24 @@ TEST(SyndromeFileModel, ReadersRejectTheWrongFamily) {
       "mmdiag-syndrome v1\ntopology hypercube 4\nnode 0 000000\nend\n";
   std::istringstream peek_stream(mm_header);
   EXPECT_EQ(peek_syndrome_header(peek_stream).model, DiagnosisModel::kMMStar);
-  std::istringstream mm_file(mm_header);
-  EXPECT_THROW(static_cast<void>(read_directed_syndrome(mm_file)),
-               std::runtime_error);
+  expect_line_error(read_directed, mm_header, "use read_syndrome");
+
+  // The directed reader shares the resolver step and the record checks.
+  const std::string good = directed_file.str();
+  expect_line_error(read_directed,
+                    "mmdiag-syndrome v1\ntopology bogus 3\nmodel pmc\n",
+                    "cannot resolve topology spec 'bogus 3'");
+  std::string short_bits = good;
+  short_bits.replace(short_bits.find("node 0 ") + 7, 1, "");
+  expect_line_error(read_directed, short_bits, "expected 4 bits, got 3");
+  std::string bad_bit = good;
+  bad_bit.replace(bad_bit.find("node 0 ") + 7, 1, "X");
+  expect_line_error(read_directed, bad_bit, "bits must be 0 or 1");
+  std::string dup = good;
+  dup.replace(dup.find("node 1 "), 7, "node 0 ");
+  expect_line_error(read_directed, dup, "duplicate node record");
+  expect_line_error(read_directed, good.substr(0, good.find("end")),
+                    "missing 'end'");
 
   std::stringstream out;
   EXPECT_THROW(

@@ -159,7 +159,8 @@ INSTANTIATE_TEST_SUITE_P(SupportedFamilies, ProtocolSweep,
 
 TEST(Protocol, AgreesWithSequentialDriver) {
   // Q_9: Q_8 is certifiable only under the sequential spread rule, which no
-  // coordination-free distributed joiner can realise (DESIGN.md §4.2).
+  // coordination-free distributed joiner can realise (it needs a global
+  // view of every round's offers to spread children over parents).
   test::Instance inst("hypercube 9");
   Diagnoser sequential(*inst.topo, inst.graph);
   Rng rng(21);

@@ -4,6 +4,7 @@
 // structurally different topology families.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
 
 #include "core/diagnoser.hpp"
@@ -38,12 +39,14 @@ TEST_P(RoundTrip, WriteReadDiagnoseRecoversInjectedFaults) {
     std::stringstream buffer;
     write_syndrome(buffer, tc.spec, inst.graph, original);
 
-    const LoadedSyndrome loaded = read_syndrome(buffer);
+    test::Resolver resolve;
+    const ParsedSyndrome loaded = read_syndrome(buffer, std::ref(resolve));
     EXPECT_EQ(loaded.spec, tc.spec);
-    ASSERT_EQ(loaded.graph.num_nodes(), n);
+    const test::Instance& read_back = resolve.instance(loaded.spec);
+    ASSERT_EQ(read_back.graph.num_nodes(), n);
 
-    Diagnoser diagnoser(*loaded.topology, loaded.graph);
-    const TableOracle oracle(loaded.graph, loaded.syndrome);
+    Diagnoser diagnoser(*read_back.topo, read_back.graph);
+    const TableOracle oracle(read_back.graph, loaded.syndrome);
     const auto result = diagnoser.diagnose(oracle);
     ASSERT_TRUE(result.success) << result.failure_reason;
     EXPECT_EQ(result.faults, faults.nodes());
@@ -77,9 +80,11 @@ TEST(RoundTrip, NodeListSidecarMatchesDiagnosis) {
   std::stringstream sidecar;
   write_node_list(sidecar, faults.nodes());
 
-  LoadedSyndrome loaded = read_syndrome(syndrome_file);
-  Diagnoser diagnoser(*loaded.topology, loaded.graph);
-  const TableOracle oracle(loaded.graph, loaded.syndrome);
+  test::Resolver resolve;
+  const ParsedSyndrome loaded = read_syndrome(syndrome_file, std::ref(resolve));
+  const test::Instance& read_back = resolve.instance(loaded.spec);
+  Diagnoser diagnoser(*read_back.topo, read_back.graph);
+  const TableOracle oracle(read_back.graph, loaded.syndrome);
   const auto result = diagnoser.diagnose(oracle);
   ASSERT_TRUE(result.success) << result.failure_reason;
   EXPECT_EQ(result.faults, read_node_list(sidecar));

@@ -21,7 +21,8 @@ TEST(SetBuilder, FaultFreeRunCoversGraphAndCertifies) {
   for (Node v = 0; v < 32; ++v) EXPECT_TRUE(builder.in_last_set(v));
 }
 
-// The closed form behind DESIGN.md §4.1: under the paper's least-parent
+// The closed form behind runtime calibration (certified_partition.hpp):
+// under the paper's least-parent
 // rule, the fault-free Set_Builder tree on Q_m rooted at 0 has exactly
 // 2^{m-1} internal nodes (a weight-w node contributes iff its top set bit
 // is not m-1).
@@ -56,8 +57,7 @@ TEST(SetBuilder, MembershipIsRuleIndependent) {
   const FaultSet faults(128, inject_uniform(128, 7, rng));
   const LazyOracle oracle(inst.graph, faults, FaultyBehavior::kRandom, 4);
   std::vector<Node> reference;
-  for (const auto rule : {ParentRule::kLeastFirst, ParentRule::kSpread,
-                          ParentRule::kLeastSync, ParentRule::kHashSpread}) {
+  for (const ParentRule rule : kAllParentRules) {
     SetBuilder builder(inst.graph, rule);
     Node seed = 0;
     while (faults.is_faulty(seed)) ++seed;
@@ -78,9 +78,9 @@ TEST(SetBuilder, ParentStructureIsAValidLayeredTree) {
     SetBuilder builder(inst.graph, rule);
     const auto res = builder.run(oracle, 3, 5);
     ASSERT_EQ(res.members.size(), res.parent.size());
-    StampSet seen(inst.graph.num_nodes());
+    DirtyBitset seen(inst.graph.num_nodes());
     std::size_t distinct_parents = 0;
-    StampSet parents(inst.graph.num_nodes());
+    DirtyBitset parents(inst.graph.num_nodes());
     for (std::size_t i = 0; i < res.members.size(); ++i) {
       if (i == 0) {
         EXPECT_EQ(res.parent[0], kNoNode);
@@ -147,8 +147,7 @@ TEST(SetBuilder, CertificateIsSoundFromArbitrarySeeds) {
   test::Instance inst("hypercube 7");
   const unsigned delta = 7;
   Rng rng(321);
-  for (const auto rule : {ParentRule::kLeastFirst, ParentRule::kSpread,
-                          ParentRule::kLeastSync, ParentRule::kHashSpread}) {
+  for (const ParentRule rule : kAllParentRules) {
     SetBuilder builder(inst.graph, rule);
     for (int trial = 0; trial < 15; ++trial) {
       const FaultSet faults(inst.graph.num_nodes(),
@@ -193,8 +192,7 @@ TEST(SetBuilder, LookupBoundFromSection6) {
   test::Instance inst("hypercube 8");
   Rng rng(7);
   const unsigned delta = 8;
-  for (const auto rule : {ParentRule::kLeastFirst, ParentRule::kSpread,
-                          ParentRule::kLeastSync, ParentRule::kHashSpread}) {
+  for (const ParentRule rule : kAllParentRules) {
     SetBuilder builder(inst.graph, rule);
     for (int trial = 0; trial < 10; ++trial) {
       const FaultSet faults(inst.graph.num_nodes(),

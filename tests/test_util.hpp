@@ -2,6 +2,7 @@
 #pragma once
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -22,6 +23,24 @@ struct Instance {
 
   explicit Instance(const std::string& spec)
       : topo(make_topology_from_spec(spec)), graph(topo->build_graph()) {}
+};
+
+/// A syndrome-file resolver (io/syndrome_io.hpp's GraphResolver, passed
+/// as std::ref) that builds and keeps one Instance per spec it is asked
+/// for, as the engine's cache keeps one calibrated graph per spec.
+class Resolver {
+ public:
+  const Graph& operator()(const std::string& spec) {
+    return instance(spec).graph;
+  }
+  const Instance& instance(const std::string& spec) {
+    std::unique_ptr<Instance>& slot = instances_[spec];
+    if (!slot) slot = std::make_unique<Instance>(spec);
+    return *slot;
+  }
+
+ private:
+  std::map<std::string, std::unique_ptr<Instance>> instances_;
 };
 
 /// Sorted copy helper for comparing fault lists.

@@ -42,7 +42,7 @@ INSTANTIATE_TEST_SUITE_P(
                       KappaCase{"augmented_cube 3", 4},         // known anomaly
                       KappaCase{"augmented_cube 4", 7},         //
                       KappaCase{"augmented_cube 5", 9},         //
-                      KappaCase{"shuffle_cube 6", 6},           // DESIGN.md §4.4
+                      KappaCase{"shuffle_cube 6", 6},           // substitute mask table
                       KappaCase{"twisted_n_cube 3", 3},         //
                       KappaCase{"twisted_n_cube 5", 5},         //
                       KappaCase{"kary_ncube 2 4", 4},           //

@@ -173,25 +173,33 @@ TEST(Transpose64, Involution) {
   for (int r = 0; r < 64; ++r) EXPECT_EQ(a[r], orig[r]);
 }
 
-TEST(StampSet, InsertContainsClear) {
-  StampSet s(8);
-  EXPECT_TRUE(s.insert(3));
-  EXPECT_FALSE(s.insert(3));
-  EXPECT_TRUE(s.contains(3));
+TEST(DirtyBitset, InsertContainsClear) {
+  DirtyBitset s(130);  // three words, the last one partial
+  EXPECT_GE(s.capacity(), 130u);
+  for (const Node v : {Node{3}, Node{64}, Node{129}}) {
+    EXPECT_TRUE(s.insert(v));
+    EXPECT_FALSE(s.insert(v));
+    EXPECT_TRUE(s.contains(v));
+  }
   EXPECT_FALSE(s.contains(4));
+  EXPECT_FALSE(s.contains(65));
   s.clear();
-  EXPECT_FALSE(s.contains(3));
+  for (const Node v : {Node{3}, Node{64}, Node{129}}) {
+    EXPECT_FALSE(s.contains(v));
+  }
   EXPECT_TRUE(s.insert(3));
 }
 
-TEST(StampSet, ManyEpochs) {
-  StampSet s(4);
-  for (int epoch = 0; epoch < 1000; ++epoch) {
-    EXPECT_TRUE(s.insert(1));
-    EXPECT_TRUE(s.contains(1));
+TEST(DirtyBitset, ReuseAcrossManyClears) {
+  DirtyBitset s(200);
+  for (Node round = 0; round < 1000; ++round) {
+    const Node v = round % 200;
+    EXPECT_FALSE(s.contains(v));
+    EXPECT_TRUE(s.insert(v));
+    EXPECT_TRUE(s.contains(v));
     s.clear();
   }
-  EXPECT_FALSE(s.contains(1));
+  for (Node v = 0; v < 200; ++v) EXPECT_FALSE(s.contains(v));
 }
 
 TEST(Factorial, KnownValues) {
