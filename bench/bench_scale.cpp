@@ -1,9 +1,12 @@
-// Scale benchmark: diagnosis on large hypercubes through the CSR graph
-// every solver runs on and the lazy oracle (no syndrome table — tests are
-// computed on consultation). Each row records the graph build, the
-// calibration, the solves, the counted look-ups and the memory they took:
-// hypercube 20 (2^20 nodes, ~21M directed edges) holds its CSR at 2 bytes
-// per mirror entry plus the solver's O(N) scratch.
+// Scale benchmark: diagnosis on large hypercubes, star 9 and
+// kary_ncube 8 6 through the CSR graph every solver runs on and the lazy
+// oracle (no syndrome table — tests are computed on consultation). Each
+// row records the graph build, the calibration, the solves, the counted
+// look-ups and the memory they took: hypercube 20 (2^20 nodes, ~21M
+// directed edges) holds its CSR at 2 bytes per mirror entry plus the
+// solver's O(N) scratch. The star and k-ary rows put the two other plan
+// shapes on record: fix-last-symbol components scattered over the id
+// space, and tuple-prefix components many small ones at a time.
 //
 // Calibration is the engine's served configuration (validate_all=true:
 // every component certified, probed on a hardware_concurrency-lane
@@ -17,7 +20,8 @@
 //
 //   bench_scale [--smoke] [--out FILE]
 //
-// --smoke shrinks to hypercube 16 for CI (seconds); schema is identical.
+// --smoke shrinks to hypercube 16 and star 7 for CI (seconds); schema is
+// identical.
 #include <iomanip>
 #include <iostream>
 #include <string>
@@ -58,14 +62,15 @@ std::uint64_t peak_rss_kb() {
 }
 
 int run(bool smoke, const std::string& out_path) {
-  // Ascending so the peak-RSS column of each row is not inflated by a
-  // bigger instance that ran before it; hypercube 21 keeps a
+  // Ascending in CSR bytes so the peak-RSS column of each row is not
+  // inflated by a bigger instance that ran before it; hypercube 21 keeps a
   // multi-million-node solve on record.
   const std::vector<std::string> rows =
-      smoke ? std::vector<std::string>{"hypercube 16"}
-            : std::vector<std::string>{"hypercube 16", "hypercube 17",
-                                       "hypercube 18", "hypercube 19",
-                                       "hypercube 20", "hypercube 21"};
+      smoke ? std::vector<std::string>{"star 7", "hypercube 16"}
+            : std::vector<std::string>{
+                  "hypercube 16", "hypercube 17", "star 9",
+                  "hypercube 18", "hypercube 19", "hypercube 20",
+                  "kary_ncube 8 6", "hypercube 21"};
   const std::size_t syndromes = smoke ? 2 : 4;
   ThreadPool pool;  // hardware_concurrency lanes, as the engine defaults
 

@@ -66,8 +66,9 @@ class ChurnRecertifier {
     return num_components_;
   }
 
-  /// Members of `comp` in ascending node order (plans like FixLastSymbolPlan
-  /// have non-contiguous components, so an explicit index is kept).
+  /// Members of `comp` in ascending node order. FixLastSymbolPlan's
+  /// components are scattered across the id space (its table maps a node
+  /// to its component, not the reverse), so an explicit index is kept.
   [[nodiscard]] std::span<const Node> component_members(
       std::uint32_t comp) const {
     return {comp_nodes_.data() + comp_offsets_[comp],

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cstdint>
 #include <stdexcept>
 
 #include "util/rng.hpp"
@@ -66,15 +67,23 @@ SetBuilderResult SetBuilder::run_impl(const SyndromeOracle& oracle, Node u0,
   result.parent.push_back(kNoNode);
   in_set_.insert(u0);
 
-  // Flips each round: `fi` indexes the frontier being filled.
+  // Flips each round: `fi` indexes the frontier being filled, and
+  // [fill_lo, fill_hi) is the word range its admissions have set, so the
+  // next round scans only that range (a restricted probe pays for its
+  // component, not for N/64 words per round).
   unsigned fi = 0;
   std::size_t next_count = 0;
+  std::size_t fill_lo = SIZE_MAX;
+  std::size_t fill_hi = 0;
 
   auto add_member = [&](Node v, Node parent, Graph::MirrorPos parent_pos) {
     result.members.push_back(v);
     result.parent.push_back(parent);
     parent_pos_of_[v] = parent_pos;
-    frontier_words_[fi][v >> 6] |= std::uint64_t{1} << (v & 63);
+    const std::size_t w = v >> 6;
+    frontier_words_[fi][w] |= std::uint64_t{1} << (v & 63);
+    fill_lo = std::min(fill_lo, w);
+    fill_hi = std::max(fill_hi, w + 1);
     ++next_count;
   };
 
@@ -115,10 +124,13 @@ SetBuilderResult SetBuilder::run_impl(const SyndromeOracle& oracle, Node u0,
     // ascending id order — under kLeastFirst exactly the paper's "least
     // contributing node" parent choice, with no sort.
     std::uint64_t* const cur = frontier_words_[fi].data();
-    const std::size_t cur_words = frontier_words_[fi].size();
+    const std::size_t cur_lo = fill_lo;
+    const std::size_t cur_hi = fill_hi;
     const std::size_t frontier_count = next_count;
     fi ^= 1;
     next_count = 0;
+    fill_lo = SIZE_MAX;
+    fill_hi = 0;
 
     const bool deferred = rule_ != ParentRule::kLeastFirst;
     if (deferred) {
@@ -129,7 +141,7 @@ SetBuilderResult SetBuilder::run_impl(const SyndromeOracle& oracle, Node u0,
       zero_edges_.reserve(frontier_count *
                           static_cast<std::size_t>(g.max_degree()));
     }
-    for (std::size_t w = 0; w < cur_words; ++w) {
+    for (std::size_t w = cur_lo; w < cur_hi; ++w) {
       std::uint64_t bits = cur[w];
       if (bits == 0) continue;
       cur[w] = 0;  // consumed — the bitmap is clean for the round after next
@@ -329,6 +341,10 @@ void SetBuilder::run_sliced_impl(const BitSlicedOracle& oracle, Node u0,
   s_touched_.clear();
 
   unsigned fi = 0;  // frontier being filled
+  // Word range of s_frontier_union_[fi] that admissions have set; the next
+  // round scans only that range, as in run_impl.
+  std::size_t fill_lo = SIZE_MAX;
+  std::size_t fill_hi = 0;
   std::uint64_t admitted_round = 0;
 
   // Per-lane contributor/member tallies live in vertical (carry-save) bit
@@ -388,7 +404,10 @@ void SetBuilder::run_sliced_impl(const BitSlicedOracle& oracle, Node u0,
     }
     s_member_[v] = before | lanes;
     s_frontier_[fi][v] |= lanes;
-    s_frontier_union_[fi][v >> 6] |= std::uint64_t{1} << (v & 63);
+    const std::size_t w = v >> 6;
+    s_frontier_union_[fi][w] |= std::uint64_t{1} << (v & 63);
+    fill_lo = std::min(fill_lo, w);
+    fill_hi = std::max(fill_hi, w + 1);
     admitted_round |= lanes;
     vadd(member_planes, &SlicedLaneResult::member_count, lanes);
   };
@@ -446,12 +465,15 @@ void SetBuilder::run_sliced_impl(const BitSlicedOracle& oracle, Node u0,
 
     std::uint64_t* const cur = s_frontier_[fi].data();
     std::uint64_t* const cur_union = s_frontier_union_[fi].data();
-    const std::size_t cur_words = s_frontier_union_[fi].size();
+    const std::size_t cur_lo = fill_lo;
+    const std::size_t cur_hi = fill_hi;
     fi ^= 1;
+    fill_lo = SIZE_MAX;
+    fill_hi = 0;
     admitted_round = 0;
     if (deferred) s_zero_edges_.clear();
 
-    for (std::size_t w = 0; w < cur_words; ++w) {
+    for (std::size_t w = cur_lo; w < cur_hi; ++w) {
       std::uint64_t bits = cur_union[w];
       if (bits == 0) continue;
       cur_union[w] = 0;  // consumed

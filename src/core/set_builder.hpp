@@ -39,14 +39,20 @@
 //
 //   - Frontiers are node-indexed bitmaps consumed word-by-word; ascending
 //     bit order IS the ascending node order the parent rules require, so
-//     no per-round sort of the frontier is needed. The position of a
-//     member's tree parent in its own adjacency list is recorded at
-//     admission (from the graph's O(1) mirror table, 16 bits per node), so
-//     rounds >= 2 never re-search for the parent.
+//     no per-round sort of the frontier is needed. Each round records the
+//     [lo, hi) word range its admissions set in the frontier it fills,
+//     and the next round scans only that range (both kernels), so a
+//     restricted probe over a contiguous component (the bit-prefix and
+//     tuple-prefix plans) touches that component's words, not all N/64
+//     per round. The position of a member's tree parent in its own
+//     adjacency list is recorded at admission (from the graph's O(1)
+//     mirror table, 16 bits per node), so rounds >= 2 never re-search for
+//     the parent.
 //   - Membership bitsets pack one bit per node (DirtyBitset), keeping the
 //     hot loop's working set L1-resident; restricted probes resolve
 //     prefix-plan eligibility with an inline shift instead of a virtual
-//     call per neighbour.
+//     call per neighbour, and every other plan answers component_of in
+//     O(1) (FixLastSymbolPlan reads its per-rank byte table).
 //   - All scratch is member state with cheap clears; steady-state runs
 //     allocate nothing beyond the returned members/parent arrays, which
 //     are reserved from component-size / previous-run bounds.

@@ -299,11 +299,20 @@ std::vector<DiagnosisResult> DiagnosisEngine::serve(
   // path's. Per-syndrome results and look-up counts are bit-identical
   // either way. Malformed requests fail here, before any cohort forms, so
   // only well-formed MM* requests can join one.
+  //
+  // Requests that name one oracle share its unsynchronised look-up counter,
+  // and a cohort would sum their charges into it. So they never join a
+  // cohort: the first is a scalar item, and its lane answers the others
+  // after it, in request order (next_same[i] is the next request on i's
+  // oracle).
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
   std::vector<std::vector<std::size_t>> cohorts;
   std::vector<std::size_t> scalar_idx;
+  std::vector<std::size_t> next_same(requests.size(), kNone);
   {
     std::vector<char> claimed(requests.size(), 0);
-    std::unordered_map<std::string, std::vector<std::size_t>> by_spec;
+    std::unordered_map<const void*, std::size_t> last_on;
+    last_on.reserve(requests.size());
     for (std::size_t i = 0; i < requests.size(); ++i) {
       const EngineRequest& rq = requests[i];
       if (const char* why = malformed(rq)) {
@@ -311,6 +320,21 @@ std::vector<DiagnosisResult> DiagnosisEngine::serve(
         claimed[i] = 1;
         continue;
       }
+      const void* oracle = rq.oracle != nullptr
+                               ? static_cast<const void*>(rq.oracle)
+                               : static_cast<const void*>(rq.directed);
+      const auto [last, first] = last_on.try_emplace(oracle, i);
+      if (!first) {
+        next_same[last->second] = i;
+        claimed[i] = 1;
+        last->second = i;
+      }
+    }
+    std::unordered_map<std::string, std::vector<std::size_t>> by_spec;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      const EngineRequest& rq = requests[i];
+      // The head of a shared-oracle chain stays scalar too.
+      if (claimed[i] != 0 || next_same[i] != kNone) continue;
       if (rq.oracle != nullptr && rq.oracle->has_graph() &&
           dynamic_cast<const TableOracle*>(rq.oracle) != nullptr &&
           rq.oracle->graph().max_degree() <= 64) {
@@ -337,14 +361,16 @@ std::vector<DiagnosisResult> DiagnosisEngine::serve(
       cohorts.size() + scalar_idx.size(),
       [&](unsigned lane, std::size_t item) {
         if (item >= cohorts.size()) {
-          const std::size_t i = scalar_idx[item - cohorts.size()];
-          try {
-            results[i] = answer(requests[i], lane_scratch_[lane]);
-          } catch (const std::exception& e) {
-            // A malformed or unsupported request fails alone.
-            results[i] = DiagnosisResult{};
-            results[i].failure_reason =
-                std::string("engine setup failed: ") + e.what();
+          for (std::size_t i = scalar_idx[item - cohorts.size()]; i != kNone;
+               i = next_same[i]) {
+            try {
+              results[i] = answer(requests[i], lane_scratch_[lane]);
+            } catch (const std::exception& e) {
+              // A malformed or unsupported request fails alone.
+              results[i] = DiagnosisResult{};
+              results[i].failure_reason =
+                  std::string("engine setup failed: ") + e.what();
+            }
           }
           return;
         }

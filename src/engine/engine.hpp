@@ -89,9 +89,11 @@ struct EngineCounters {
   std::size_t entries = 0;
 };
 
-/// One unit of a mixed-spec request stream. The oracle is consulted by
-/// exactly one lane (its look-up counter is unsynchronised), so pass one
-/// oracle per request, never a shared one.
+/// One unit of a mixed-spec request stream. An oracle's look-up counter is
+/// unsynchronised, so serve() answers the requests of one call that name
+/// the same oracle one after another on one lane (a stream of BGM local
+/// requests may share one syndrome's oracle). An oracle must not be in
+/// use by two threads at once in any other way.
 ///
 /// Exactly one of `oracle` (MM* comparator syndrome) and `directed`
 /// (PMC/BGM per-arc syndrome; the model tag travels on the oracle) may be

@@ -1,5 +1,6 @@
 #include "topology/partition.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace mmdiag {
@@ -36,12 +37,19 @@ std::string TuplePrefixPlan::description() const {
 FixLastSymbolPlan::FixLastSymbolPlan(unsigned n, unsigned k)
     : n_(n), k_(k), codec_(n, k) {
   if (k < 2) throw std::invalid_argument("FixLastSymbolPlan: need k >= 2");
-}
-
-std::uint32_t FixLastSymbolPlan::component_of(Node v) const {
+  // Odometer over all n symbols in lexicographic order, which is rank
+  // order. Positions [0, k) are the arrangement; the tail [k, n) is kept
+  // ascending, so reversing it makes the permutation the last one with
+  // this k-prefix and next_permutation steps to the next k-arrangement
+  // (for k == n the tail is empty and this is plain next_permutation).
   std::uint8_t a[64];
-  codec_.unrank(v, a);
-  return a[k_ - 1] - 1u;  // symbols are 1-based
+  for (unsigned i = 0; i < n; ++i) a[i] = static_cast<std::uint8_t>(i + 1);
+  component_.resize(codec_.count());
+  for (std::uint8_t& c : component_) {
+    c = static_cast<std::uint8_t>(a[k - 1] - 1);  // symbols are 1-based
+    std::reverse(a + k, a + n);
+    std::next_permutation(a, a + n);
+  }
 }
 
 Node FixLastSymbolPlan::seed_of(std::size_t c) const {

@@ -7,6 +7,7 @@
 // artefact.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -117,12 +118,39 @@ TEST(DispatchEquivalence, EveryFamilyEveryRuleEveryOracle) {
   }
 }
 
+/// Components a restricted-run test probes, ascending: the first four, a
+/// middle one and the last. The far ones put the frontier words away from
+/// word 0 (scattered across the id space for FixLastSymbolPlan).
+std::vector<std::uint32_t> probed_components(const PartitionPlan& plan) {
+  const auto count = static_cast<std::uint32_t>(plan.num_components());
+  std::vector<std::uint32_t> comps;
+  for (std::uint32_t c = 0; c < std::min<std::uint32_t>(count, 4); ++c) {
+    comps.push_back(c);
+  }
+  for (const std::uint32_t c : {count / 2, count - 1}) {
+    if (std::find(comps.begin(), comps.end(), c) == comps.end()) {
+      comps.push_back(c);
+    }
+  }
+  return comps;
+}
+
+/// Restricted-run families: a wide hypercube and a k-ary cube (contiguous
+/// components far into the id space), and two permutation families
+/// (FixLastSymbolPlan components scattered over it).
+constexpr FamilyCase kRestrictedFamilies[] = {
+    {"hypercube 10", 6}, {"kary_ncube 4 4", 4}, {"star 5", 4},
+    {"pancake 5", 3}};
+
 // SetBuilder-level equivalence with the reference, including restricted
 // runs (the probe shape) and the look-up counter after each run.
 TEST(DispatchEquivalence, SetBuilderRunsMatchReference) {
   for (const FamilyCase& family : {FamilyCase{"hypercube 6", 4},
                                    FamilyCase{"star 5", 4},
-                                   FamilyCase{"kary_ncube 3 4", 4}}) {
+                                   FamilyCase{"kary_ncube 3 4", 4},
+                                   FamilyCase{"hypercube 10", 6},
+                                   FamilyCase{"kary_ncube 4 4", 4},
+                                   FamilyCase{"pancake 5", 3}}) {
     SCOPED_TRACE(family.spec);
     test::Instance inst(family.spec);
     const std::size_t n = inst.graph.num_nodes();
@@ -158,7 +186,10 @@ TEST(DispatchEquivalence, SetBuilderRunsMatchReference) {
       }
     }
 
-    // Restricted runs over every component of the finest certifiable plan.
+    // Restricted runs over the first, a middle and the last component of
+    // the finest certifiable plan, through one builder in descending and
+    // then ascending order: a frontier word range left over from the
+    // previous run would show as a divergence here.
     CertifiedPartition partition;
     try {
       partition = find_certified_partition(*inst.topo, inst.graph,
@@ -167,21 +198,27 @@ TEST(DispatchEquivalence, SetBuilderRunsMatchReference) {
       continue;  // no certifiable plan at this bound — unrestricted covered
     }
     const PartitionPlan& plan = *partition.plan;
-    SetBuilder builder(inst.graph, ParentRule::kSpread);
-    for (std::uint32_t c = 0;
-         c < std::min<std::size_t>(plan.num_components(), 4); ++c) {
-      table.reset_lookups();
-      const auto expected =
-          reference_set_builder(inst.graph, ParentRule::kSpread, table,
-                                plan.seed_of(c), family.delta, &plan, c);
-      const std::uint64_t expected_lookups = table.lookups();
-      table.reset_lookups();
-      const auto actual = builder.run_restricted(
-          table, plan.seed_of(c), family.delta, plan, c);
-      EXPECT_EQ(expected.members, actual.members) << "component " << c;
-      EXPECT_EQ(expected.parent, actual.parent) << "component " << c;
-      EXPECT_EQ(expected.contributors, actual.contributors);
-      EXPECT_EQ(expected_lookups, table.lookups()) << "component " << c;
+    const std::vector<std::uint32_t> ascending = probed_components(plan);
+    std::vector<std::uint32_t> order(ascending.rbegin(), ascending.rend());
+    order.insert(order.end(), ascending.begin(), ascending.end());
+    for (const ParentRule rule : kAllParentRules) {
+      SCOPED_TRACE(to_string(rule));
+      SetBuilder builder(inst.graph, rule);
+      for (const std::uint32_t c : order) {
+        table.reset_lookups();
+        const auto expected =
+            reference_set_builder(inst.graph, rule, table, plan.seed_of(c),
+                                  family.delta, &plan, c);
+        const std::uint64_t expected_lookups = table.lookups();
+        table.reset_lookups();
+        const auto actual = builder.run_restricted(
+            table, plan.seed_of(c), family.delta, plan, c);
+        EXPECT_EQ(expected.members, actual.members) << "component " << c;
+        EXPECT_EQ(expected.parent, actual.parent) << "component " << c;
+        EXPECT_EQ(expected.rounds, actual.rounds) << "component " << c;
+        EXPECT_EQ(expected.contributors, actual.contributors);
+        EXPECT_EQ(expected_lookups, table.lookups()) << "component " << c;
+      }
     }
   }
 }
@@ -263,6 +300,61 @@ TEST(DispatchEquivalence, CohortMatchesScalarEveryFamilyEveryRule) {
             diagnoser, inst.graph,
             make_cohort_syndromes(inst.graph, family.delta, width),
             tag + "/width=" + std::to_string(width));
+      }
+    }
+  }
+}
+
+// The cohort probe shape: run_sliced_restricted over far components (the
+// last, a middle and the first, then the last again, through one builder)
+// must give every lane the scalar restricted run's members, rounds,
+// contributors, certificate and look-ups.
+TEST(DispatchEquivalence, SlicedRestrictedRunsMatchScalarOnFarComponents) {
+  for (const FamilyCase& family : kRestrictedFamilies) {
+    SCOPED_TRACE(family.spec);
+    test::Instance inst(family.spec);
+    const std::size_t n = inst.graph.num_nodes();
+    const CertifiedPartition partition = find_certified_partition(
+        *inst.topo, inst.graph, family.delta, ParentRule::kSpread);
+    const PartitionPlan& plan = *partition.plan;
+    const std::vector<Syndrome> syndromes =
+        make_cohort_syndromes(inst.graph, family.delta, 64);
+    std::vector<TableOracle> oracles;
+    oracles.reserve(syndromes.size());
+    for (const Syndrome& s : syndromes) oracles.emplace_back(inst.graph, s);
+    BitSlicedOracle sliced(inst.graph);
+    for (const TableOracle& o : oracles) sliced.add_lane(o);
+
+    const auto last = static_cast<std::uint32_t>(plan.num_components() - 1);
+    for (const ParentRule rule : kAllParentRules) {
+      SCOPED_TRACE(to_string(rule));
+      SetBuilder cohort(inst.graph, rule);
+      SetBuilder scalar(inst.graph, rule);
+      for (const std::uint32_t c : {last, last / 2, 0u, last}) {
+        const Node u0 = plan.seed_of(c);
+        SlicedLaneResult out[64];
+        sliced.reset_accounting();
+        cohort.run_sliced_restricted(sliced, u0, family.delta,
+                                     sliced.full_mask(), plan, c, out);
+        for (unsigned lane = 0; lane < sliced.width(); ++lane) {
+          const TableOracle& o = oracles[lane];
+          o.reset_lookups();
+          const auto expected =
+              scalar.run_restricted(o, u0, family.delta, plan, c);
+          const std::string what = "component " + std::to_string(c) +
+                                   " lane " + std::to_string(lane);
+          EXPECT_EQ(expected.all_healthy, out[lane].all_healthy) << what;
+          EXPECT_EQ(expected.rounds, out[lane].rounds) << what;
+          EXPECT_EQ(expected.contributors, out[lane].contributors) << what;
+          EXPECT_EQ(expected.members.size(), out[lane].member_count) << what;
+          EXPECT_EQ(o.lookups(), sliced.lane_lookups(lane)) << what;
+          std::size_t mask_mismatches = 0;
+          for (Node v = 0; v < n; ++v) {
+            const bool in_cohort = (cohort.sliced_member_mask(v) >> lane) & 1;
+            if (in_cohort != scalar.in_last_set(v)) ++mask_mismatches;
+          }
+          EXPECT_EQ(mask_mismatches, 0u) << what;
+        }
       }
     }
   }

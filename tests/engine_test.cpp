@@ -391,6 +391,58 @@ TEST(DiagnosisEngine, CohortLaneOverAnotherGraphFailsAlone) {
   }
 }
 
+TEST(DiagnosisEngine, ServeAnswersRequestsSharingAnOracleInTurn) {
+  // Requests that name one oracle share its look-up counter: a 64-wide
+  // cohort must not form over one table, and BGM local requests on one
+  // syndrome must not race on 4 lanes. Every answer, look-ups included,
+  // equals the single-request entry point's on a fresh oracle.
+  EngineOptions options;
+  options.threads = 4;
+  DiagnosisEngine engine(options);
+  const test::Instance inst("hypercube 7");
+  const FaultSet faults(inst.graph.num_nodes(), {5, 12});
+  const Syndrome syndrome =
+      generate_syndrome(inst.graph, faults, FaultyBehavior::kRandom, 3);
+  const TableOracle table(inst.graph, syndrome);
+  const auto bgm = [&] {
+    return DirectedLazyOracle(inst.graph, faults, DiagnosisModel::kBGM,
+                              FaultyBehavior::kRandom, 3);
+  };
+  const DirectedLazyOracle shared_bgm = bgm();
+
+  std::vector<EngineRequest> requests(BitSlicedOracle::kMaxLanes + 6,
+                                      EngineRequest{"hypercube 7", &table});
+  constexpr Node kLocalNodes = 16;
+  for (Node v = 0; v < kLocalNodes; ++v) {
+    requests.push_back({"hypercube 7", nullptr, &shared_bgm, v});
+  }
+  requests.push_back({"hypercube 7", nullptr, &shared_bgm, kNoNode});
+  const std::vector<DiagnosisResult> served = engine.serve(requests);
+  ASSERT_EQ(served.size(), requests.size());
+
+  const TableOracle fresh_table(inst.graph, syndrome);
+  const DiagnosisResult mm = engine.diagnose("hypercube 7", fresh_table);
+  ASSERT_TRUE(mm.success) << mm.failure_reason;
+  for (std::size_t i = 0; i < served.size(); ++i) {
+    SCOPED_TRACE(i);
+    const EngineRequest& rq = requests[i];
+    DiagnosisResult expected;
+    if (rq.oracle != nullptr) {
+      expected = mm;
+    } else {
+      const DirectedLazyOracle fresh = bgm();
+      expected = rq.local_node == kNoNode
+                     ? engine.diagnose_directed("hypercube 7", fresh)
+                     : engine.local_diagnose("hypercube 7", fresh,
+                                             rq.local_node);
+    }
+    ASSERT_TRUE(served[i].success) << served[i].failure_reason;
+    EXPECT_EQ(expected.faults, served[i].faults);
+    EXPECT_EQ(expected.lookups, served[i].lookups);
+    EXPECT_EQ(expected.used_local_fast_path, served[i].used_local_fast_path);
+  }
+}
+
 TEST(DiagnosisEngine, ShardCountsOtherThanOneAreRejected) {
   for (const unsigned shards : {0u, 2u}) {
     EngineOptions options;

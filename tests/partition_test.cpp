@@ -101,5 +101,35 @@ TEST(FixLastSymbolPlan, SeedsAndComponents) {
   }
 }
 
+// The per-rank component table must agree with the codec it replaced on
+// every rank, for full permutations (k == n) and for arrangements (k < n).
+TEST(FixLastSymbolPlan, ComponentOfEqualsUnrankOnEveryRank) {
+  struct Shape {
+    unsigned n;
+    unsigned k;
+  };
+  for (const Shape shape : {Shape{4, 4}, Shape{5, 5}, Shape{6, 6},
+                            Shape{7, 7}, Shape{8, 8}, Shape{5, 3},
+                            Shape{6, 2}, Shape{8, 3}, Shape{10, 4}}) {
+    SCOPED_TRACE("n=" + std::to_string(shape.n) +
+                 " k=" + std::to_string(shape.k));
+    const FixLastSymbolPlan plan(shape.n, shape.k);
+    const PermCodec codec(shape.n, shape.k);
+    std::size_t mismatches = 0;
+    std::uint8_t a[64];
+    for (std::uint64_t r = 0; r < codec.count(); ++r) {
+      codec.unrank(r, a);
+      if (plan.component_of(static_cast<Node>(r)) !=
+          static_cast<std::uint32_t>(a[shape.k - 1] - 1)) {
+        ++mismatches;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << "of " << codec.count() << " ranks";
+    for (std::uint32_t c = 0; c < plan.num_components(); ++c) {
+      EXPECT_EQ(plan.component_of(plan.seed_of(c)), c);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace mmdiag
