@@ -302,22 +302,24 @@ echo "asan smoke: every suite clean under -fsanitize=address"
 # TSan over the suites that share state across threads: serve() lanes and
 # the calibration cache (engine_test, batch_test), component probes on
 # pool lanes (certified_partition_test), churn racing in-flight serves
-# (churn_test) and directed serve() lanes, which answer through the same
-# request body (directed_solver_test).
+# (churn_test), directed serve() lanes, which answer through the same
+# request body (directed_solver_test), and the block-parallel CSR build,
+# whose lanes write disjoint rows of one array (graph_test).
 cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
   -DMMDIAG_BUILD_EXAMPLES=OFF -DMMDIAG_BUILD_BENCH=OFF \
   "$@"
 cmake --build build-tsan -j --target engine_test batch_test churn_test \
-  certified_partition_test directed_solver_test
+  certified_partition_test directed_solver_test graph_test
 ./build-tsan/tests/engine_test
 ./build-tsan/tests/batch_test
 ./build-tsan/tests/certified_partition_test
 ./build-tsan/tests/churn_test
 ./build-tsan/tests/directed_solver_test
-echo "tsan smoke: engine, batch, certified-partition, churn and directed suites" \
-     "clean under -fsanitize=thread"
+./build-tsan/tests/graph_test
+echo "tsan smoke: engine, batch, certified-partition, churn, directed and" \
+     "graph suites clean under -fsanitize=thread"
 
 # Release build of every target: -O3 enables optimiser-driven warnings
 # (GCC's -Wrestrict, -Wstringop-*) that the default RelWithDebInfo -O2

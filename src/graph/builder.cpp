@@ -70,48 +70,57 @@ Graph build_graph_from_edges(std::size_t num_nodes,
   return Graph(std::move(offsets), std::move(neighbors));
 }
 
-Graph build_graph_from_generator(
-    std::size_t num_nodes,
-    const std::function<void(Node, std::vector<Node>&)>& emit_neighbors,
-    ThreadPool* pool) {
+Graph build_graph_from_generator(std::size_t num_nodes,
+                                 unsigned degree_bound,
+                                 const RowGenerator& emit_rows,
+                                 ThreadPool* pool) {
+  // One pass: node u's row lands at u * degree_bound, and offsets[u + 1]
+  // holds its length until the prefix sum below.
   std::vector<EdgeIndex> offsets(num_nodes + 1, 0);
-  // Pass 1: degrees; a serial prefix sum turns them into offsets.
+  std::vector<Node> neighbors(num_nodes * degree_bound);
   for_each_block(num_nodes, pool, [&](std::size_t first, std::size_t last) {
-    std::vector<Node> scratch;
-    for (std::size_t u = first; u < last; ++u) {
-      scratch.clear();
-      emit_neighbors(static_cast<Node>(u), scratch);
-      offsets[u + 1] = scratch.size();
-    }
+    std::size_t u = first;
+    const auto fail = [&u](const char* what) {
+      throw std::invalid_argument(std::string(what) + " at node " +
+                                  std::to_string(u));
+    };
+    emit_rows(static_cast<Node>(first), static_cast<Node>(last),
+              [&](std::span<const Node> row) {
+                if (u == last) fail("generator emitted a row past its block");
+                if (row.size() > degree_bound) {
+                  fail("generator row exceeds the degree bound");
+                }
+                const auto begin = neighbors.begin() +
+                                   static_cast<std::ptrdiff_t>(u * degree_bound);
+                const auto end = std::copy(row.begin(), row.end(), begin);
+                std::sort(begin, end);
+                if (std::adjacent_find(begin, end) != end) {
+                  fail("generator produced duplicate neighbour");
+                }
+                for (auto it = begin; it != end; ++it) {
+                  if (*it >= num_nodes) fail("neighbour out of range");
+                  if (*it == u) fail("generator produced self-loop");
+                }
+                offsets[u + 1] = row.size();
+                ++u;
+              });
+    if (u != last) fail("generator emitted no row");
   });
   std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
-  // Pass 2: each node fills its own slice of the neighbour array.
-  std::vector<Node> neighbors(offsets[num_nodes]);
-  for_each_block(num_nodes, pool, [&](std::size_t first, std::size_t last) {
-    std::vector<Node> scratch;
-    for (std::size_t u = first; u < last; ++u) {
-      scratch.clear();
-      emit_neighbors(static_cast<Node>(u), scratch);
-      const auto fail = [u](const char* what) {
-        throw std::invalid_argument(std::string(what) + " at node " +
-                                    std::to_string(u));
-      };
-      if (scratch.size() != offsets[u + 1] - offsets[u]) {
-        fail("generator changed its degree");
-      }
-      std::sort(scratch.begin(), scratch.end());
-      if (std::adjacent_find(scratch.begin(), scratch.end()) !=
-          scratch.end()) {
-        fail("generator produced duplicate neighbour");
-      }
-      for (const Node v : scratch) {
-        if (v >= num_nodes) fail("neighbour out of range");
-        if (v == u) fail("generator produced self-loop");
-      }
-      std::copy(scratch.begin(), scratch.end(),
+  if (offsets[num_nodes] != neighbors.size()) {
+    // Short rows: slide each row down to its offset, which is never past
+    // its slot, so ascending order never overwrites an unread row.
+    for (std::size_t u = 0; u < num_nodes; ++u) {
+      if (offsets[u] == u * degree_bound) continue;  // nothing short yet
+      const auto from =
+          neighbors.begin() + static_cast<std::ptrdiff_t>(u * degree_bound);
+      std::copy(from, from + static_cast<std::ptrdiff_t>(offsets[u + 1] -
+                                                         offsets[u]),
                 neighbors.begin() + static_cast<std::ptrdiff_t>(offsets[u]));
     }
-  });
+    neighbors.resize(offsets[num_nodes]);
+    neighbors.shrink_to_fit();
+  }
   // The constructor's O(E) mirror pass rejects asymmetric adjacency.
   return Graph(std::move(offsets), std::move(neighbors));
 }

@@ -26,20 +26,15 @@ unsigned Arrangement::default_fault_bound() const {
   return std::min(info().diagnosability, n_ - 1);
 }
 
-void Arrangement::neighbors(Node u, std::vector<Node>& out) const {
-  out.clear();
-  std::uint8_t a[64];
-  codec_.unrank(u, a);
-  std::uint64_t used = 0;
-  for (unsigned i = 0; i < k_; ++i) used |= std::uint64_t{1} << (a[i] - 1);
+void Arrangement::moves(const PermCodec::Cursor& node,
+                        std::vector<Node>& out) const {
+  // Substitute an unused symbol (the cursor's tail, ascending) at any
+  // position.
   for (unsigned i = 0; i < k_; ++i) {
-    const std::uint8_t original = a[i];
-    for (unsigned s = 1; s <= n_; ++s) {
-      if ((used >> (s - 1)) & 1ULL) continue;
-      a[i] = static_cast<std::uint8_t>(s);
-      out.push_back(static_cast<Node>(codec_.rank(a)));
+    for (unsigned t = k_; t < n_; ++t) {
+      out.push_back(static_cast<Node>(
+          codec_.rank_substitution(node, i, node.symbols[t])));
     }
-    a[i] = original;
   }
 }
 

@@ -19,11 +19,14 @@ class Arrangement final : public PermTopology {
   Arrangement(unsigned n, unsigned k);
 
   [[nodiscard]] TopologyInfo info() const override;
-  void neighbors(Node u, std::vector<Node>& out) const override;
   [[nodiscard]] std::vector<unsigned> params() const override {
     return {n_, k_};
   }
   [[nodiscard]] unsigned default_fault_bound() const override;
+
+ private:
+  void moves(const PermCodec::Cursor& node,
+             std::vector<Node>& out) const override;
 };
 
 }  // namespace mmdiag

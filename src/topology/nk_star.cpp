@@ -24,26 +24,22 @@ TopologyInfo NKStar::info() const {
   return t;
 }
 
-void NKStar::neighbors(Node u, std::vector<Node>& out) const {
-  out.clear();
-  std::uint8_t a[64];
-  codec_.unrank(u, a);
+void NKStar::moves(const PermCodec::Cursor& node,
+                   std::vector<Node>& out) const {
   // i-edges: swap position 1 with position i.
+  std::uint8_t a[64];
+  std::copy(node.symbols, node.symbols + k_, a);
   for (unsigned i = 1; i < k_; ++i) {
     std::swap(a[0], a[i]);
-    out.push_back(static_cast<Node>(codec_.rank(a)));
+    out.push_back(static_cast<Node>(codec_.rank_prefix_move(node, a, i)));
     std::swap(a[0], a[i]);
   }
-  // 1-edges: substitute any unused symbol into position 1.
-  std::uint64_t used = 0;
-  for (unsigned i = 0; i < k_; ++i) used |= std::uint64_t{1} << (a[i] - 1);
-  const std::uint8_t original = a[0];
-  for (unsigned s = 1; s <= n_; ++s) {
-    if ((used >> (s - 1)) & 1ULL) continue;
-    a[0] = static_cast<std::uint8_t>(s);
-    out.push_back(static_cast<Node>(codec_.rank(a)));
+  // 1-edges: substitute any unused symbol (the cursor's tail, ascending)
+  // into position 1.
+  for (unsigned t = k_; t < n_; ++t) {
+    out.push_back(
+        static_cast<Node>(codec_.rank_substitution(node, 0, node.symbols[t])));
   }
-  a[0] = original;
 }
 
 }  // namespace mmdiag

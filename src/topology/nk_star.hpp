@@ -16,10 +16,13 @@ class NKStar final : public PermTopology {
   NKStar(unsigned n, unsigned k);
 
   [[nodiscard]] TopologyInfo info() const override;
-  void neighbors(Node u, std::vector<Node>& out) const override;
   [[nodiscard]] std::vector<unsigned> params() const override {
     return {n_, k_};
   }
+
+ private:
+  void moves(const PermCodec::Cursor& node,
+             std::vector<Node>& out) const override;
 };
 
 }  // namespace mmdiag

@@ -20,18 +20,13 @@ TopologyInfo Pancake::info() const {
   return t;
 }
 
-void Pancake::neighbors(Node u, std::vector<Node>& out) const {
-  out.clear();
-  std::uint8_t a[64];
-  codec_.unrank(u, a);
-  // Successive prefix reversals: after reversing prefix l, extending to
-  // l+1 only needs one more flip of the already-reversed prefix; but for
-  // clarity (and since n <= 12) reverse from the original each time.
+void Pancake::moves(const PermCodec::Cursor& node,
+                    std::vector<Node>& out) const {
+  // Reverse the prefix of length l: the symbols of [0, l) stay put as a set.
   std::uint8_t b[64];
   for (unsigned l = 2; l <= n_; ++l) {
-    for (unsigned i = 0; i < l; ++i) b[i] = a[l - 1 - i];
-    for (unsigned i = l; i < n_; ++i) b[i] = a[i];
-    out.push_back(static_cast<Node>(codec_.rank(b)));
+    std::reverse_copy(node.symbols, node.symbols + l, b);
+    out.push_back(static_cast<Node>(codec_.rank_prefix_move(node, b, l - 1)));
   }
 }
 

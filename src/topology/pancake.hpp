@@ -14,7 +14,10 @@ class Pancake final : public PermTopology {
   explicit Pancake(unsigned n);
 
   [[nodiscard]] TopologyInfo info() const override;
-  void neighbors(Node u, std::vector<Node>& out) const override;
+
+ private:
+  void moves(const PermCodec::Cursor& node,
+             std::vector<Node>& out) const override;
 };
 
 }  // namespace mmdiag

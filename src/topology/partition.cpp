@@ -1,6 +1,5 @@
 #include "topology/partition.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace mmdiag {
@@ -37,18 +36,14 @@ std::string TuplePrefixPlan::description() const {
 FixLastSymbolPlan::FixLastSymbolPlan(unsigned n, unsigned k)
     : n_(n), k_(k), codec_(n, k) {
   if (k < 2) throw std::invalid_argument("FixLastSymbolPlan: need k >= 2");
-  // Odometer over all n symbols in lexicographic order, which is rank
-  // order. Positions [0, k) are the arrangement; the tail [k, n) is kept
-  // ascending, so reversing it makes the permutation the last one with
-  // this k-prefix and next_permutation steps to the next k-arrangement
-  // (for k == n the tail is empty and this is plain next_permutation).
-  std::uint8_t a[64];
-  for (unsigned i = 0; i < n; ++i) a[i] = static_cast<std::uint8_t>(i + 1);
+  // The codec's odometer visits every rank in order; the component is the
+  // symbol in the last position.
+  PermCodec::Cursor cursor;
+  codec_.seek(0, cursor);
   component_.resize(codec_.count());
   for (std::uint8_t& c : component_) {
-    c = static_cast<std::uint8_t>(a[k - 1] - 1);  // symbols are 1-based
-    std::reverse(a + k, a + n);
-    std::next_permutation(a, a + n);
+    c = static_cast<std::uint8_t>(cursor.symbols[k - 1] - 1);  // 1-based
+    codec_.next(cursor);
   }
 }
 

@@ -1,6 +1,16 @@
 // Shared machinery for permutation-labelled families (stars, (n,k)-stars,
 // pancakes, arrangement graphs). Nodes are k-arrangements of {1..n} indexed
 // by PermCodec; the §5.2 partitions all fix the symbol in the last position.
+//
+// Each family defines its edges once, as moves(): the neighbour ranks of
+// one decoded node, ranked from that node's own Lehmer digits. A move that
+// rewrites positions [0, i] and keeps their symbols (star swap, pancake
+// flip, (n,k)-star i-edge) leaves every later digit as it was; a
+// substitution at position i ((n,k)-star 1-edge, arrangement edge) moves
+// each later digit by one compare. neighbors(u) unranks u and runs
+// moves(); emit_rows() unranks the first node of a block and steps the
+// codec's odometer to each next node, so the CSR build and single-node
+// callers run the same routine.
 #pragma once
 
 #include <memory>
@@ -44,7 +54,14 @@ class PermTopology : public Topology {
 
   [[nodiscard]] const PermCodec& codec() const noexcept { return codec_; }
 
+  void neighbors(Node u, std::vector<Node>& out) const final;
+  void emit_rows(Node first, Node last, const RowSink& sink) const final;
+
  protected:
+  /// Appends the ranks of the neighbours of `node` to out.
+  virtual void moves(const PermCodec::Cursor& node,
+                     std::vector<Node>& out) const = 0;
+
   unsigned n_;
   unsigned k_;
   PermCodec codec_;

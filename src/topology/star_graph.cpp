@@ -20,13 +20,14 @@ TopologyInfo StarGraph::info() const {
   return t;
 }
 
-void StarGraph::neighbors(Node u, std::vector<Node>& out) const {
-  out.clear();
+void StarGraph::moves(const PermCodec::Cursor& node,
+                      std::vector<Node>& out) const {
+  // Swap positions 1 and i: the symbols of [0, i] stay put as a set.
   std::uint8_t a[64];
-  codec_.unrank(u, a);
+  std::copy(node.symbols, node.symbols + n_, a);
   for (unsigned i = 1; i < n_; ++i) {
     std::swap(a[0], a[i]);
-    out.push_back(static_cast<Node>(codec_.rank(a)));
+    out.push_back(static_cast<Node>(codec_.rank_prefix_move(node, a, i)));
     std::swap(a[0], a[i]);
   }
 }

@@ -1,7 +1,5 @@
 #include "topology/topology.hpp"
 
-#include "graph/builder.hpp"
-
 namespace mmdiag {
 
 std::string Topology::spec() const {
@@ -13,10 +11,22 @@ std::string Topology::spec() const {
   return out;
 }
 
+void Topology::emit_rows(Node first, Node last, const RowSink& sink) const {
+  std::vector<Node> row;
+  for (Node u = first; u < last; ++u) {
+    neighbors(u, row);
+    sink(row);
+  }
+}
+
 Graph Topology::build_graph(ThreadPool* pool) const {
+  const TopologyInfo topology = info();
   return build_graph_from_generator(
-      static_cast<std::size_t>(info().num_nodes),
-      [this](Node u, std::vector<Node>& out) { neighbors(u, out); }, pool);
+      static_cast<std::size_t>(topology.num_nodes), topology.degree,
+      [this](Node first, Node last, const RowSink& sink) {
+        emit_rows(first, last, sink);
+      },
+      pool);
 }
 
 unsigned diagnosability_by_chang(std::uint64_t num_nodes, unsigned degree,

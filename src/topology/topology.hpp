@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "graph/builder.hpp"
 #include "graph/graph.hpp"
 #include "topology/partition.hpp"
 #include "util/types.hpp"
@@ -64,9 +65,18 @@ class Topology {
     return info().diagnosability;
   }
 
-  /// Materialise the adjacency as a CSR graph (validates symmetry). With a
-  /// pool, blocks of nodes are generated on its lanes; the graph is the
-  /// same at every lane count.
+  /// Emits the rows of nodes [first, last) in ascending node order, one
+  /// sink call per node, each row holding neighbors(u) in any order. The
+  /// default calls neighbors(u) per node; a family with a cheaper walk
+  /// from one node to the next overrides it. build_graph calls it from
+  /// several lanes at once on disjoint blocks.
+  virtual void emit_rows(Node first, Node last, const RowSink& sink) const;
+
+  /// Materialise the adjacency as a CSR graph (validates symmetry) in one
+  /// pass: emit_rows runs once per node, and info().degree bounds every
+  /// row, so a row above the declared degree is refused (naming the
+  /// lowest such node). With a pool, blocks of nodes are generated on its
+  /// lanes; the graph is the same at every lane count.
   [[nodiscard]] Graph build_graph(ThreadPool* pool = nullptr) const;
 
   /// Convenience: neighbours as a fresh vector.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -25,6 +26,46 @@ Graph cycle_graph(std::size_t n) {
   std::vector<std::pair<Node, Node>> edges;
   for (Node i = 0; i < n; ++i) edges.emplace_back(i, static_cast<Node>((i + 1) % n));
   return build_graph_from_edges(n, edges);
+}
+
+// The builder's row generator for a per-node one.
+RowGenerator per_node(std::function<void(Node, std::vector<Node>&)> gen) {
+  return [gen = std::move(gen)](Node first, Node last, const RowSink& sink) {
+    std::vector<Node> row;
+    for (Node u = first; u < last; ++u) {
+      row.clear();
+      gen(u, row);
+      sink(row);
+    }
+  };
+}
+
+// The edge-list build of the graph a per-node generator describes.
+Graph edge_list_graph(std::size_t num_nodes,
+                      const std::function<void(Node, std::vector<Node>&)>& gen) {
+  std::vector<std::pair<Node, Node>> edges;
+  std::vector<Node> row;
+  for (Node u = 0; u < num_nodes; ++u) {
+    row.clear();
+    gen(u, row);
+    for (const Node v : row) {
+      if (u < v) edges.emplace_back(u, v);
+    }
+  }
+  return build_graph_from_edges(num_nodes, edges);
+}
+
+void expect_same_graph(const Graph& expected, const Graph& actual) {
+  ASSERT_EQ(expected.num_nodes(), actual.num_nodes());
+  ASSERT_EQ(expected.memory_bytes(), actual.memory_bytes());
+  for (Node u = 0; u < expected.num_nodes(); ++u) {
+    const auto a = expected.neighbors(u);
+    const auto b = actual.neighbors(u);
+    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << u;
+    const auto ma = expected.mirror_positions(u);
+    const auto mb = actual.mirror_positions(u);
+    ASSERT_TRUE(std::equal(ma.begin(), ma.end(), mb.begin(), mb.end())) << u;
+  }
 }
 
 TEST(GraphBuilder, BasicCsr) {
@@ -109,9 +150,10 @@ TEST(GraphBuilder, GeneratorValidatesSymmetry) {
   auto bad = [](Node u, std::vector<Node>& out) {
     if (u == 0) out.push_back(1);
   };
-  EXPECT_THROW((void)build_graph_from_generator(2, bad), std::invalid_argument);
+  EXPECT_THROW((void)build_graph_from_generator(2, 1, per_node(bad)),
+               std::invalid_argument);
   ThreadPool pool(4);
-  EXPECT_THROW((void)build_graph_from_generator(2, bad, &pool),
+  EXPECT_THROW((void)build_graph_from_generator(2, 1, per_node(bad), &pool),
                std::invalid_argument);
 }
 
@@ -128,7 +170,7 @@ TEST(GraphBuilder, GeneratorReportsTheLowestBadNodeAtEveryLaneCount) {
   ThreadPool one(1), four(4);
   for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one, &four}) {
     try {
-      (void)build_graph_from_generator(12000, gen, pool);
+      (void)build_graph_from_generator(12000, 3, per_node(gen), pool);
       FAIL() << "expected std::invalid_argument";
     } catch (const std::invalid_argument& e) {
       EXPECT_EQ(std::string(e.what()),
@@ -138,22 +180,75 @@ TEST(GraphBuilder, GeneratorReportsTheLowestBadNodeAtEveryLaneCount) {
   }
 }
 
-TEST(GraphBuilder, ParallelBuildEqualsSerialBuild) {
-  ThreadPool pool(4);
-  for (const char* spec : {"star 7", "hypercube 14"}) {
+TEST(GraphBuilder, RowAboveTheBoundIsRefusedAtTheLowestNode) {
+  // The 12000-node cycle again, with bound 2: nodes 9000 and 5000 emit a
+  // third neighbour. Node 5000's row is refused, not written past its
+  // slot, at every lane count.
+  auto gen = [](Node u, std::vector<Node>& out) {
+    constexpr Node kNodes = 12000;
+    out.push_back((u + 1) % kNodes);
+    out.push_back((u + kNodes - 1) % kNodes);
+    if (u == 5000 || u == 9000) out.push_back(u + 2);
+  };
+  ThreadPool one(1), four(4);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one, &four}) {
+    try {
+      (void)build_graph_from_generator(12000, 2, per_node(gen), pool);
+      FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "generator row exceeds the degree bound at node 5000")
+          << (pool ? pool->size() : 0) << " lanes";
+    }
+  }
+}
+
+TEST(GraphBuilder, ShortRowsBuildTheEdgeListGraph) {
+  // An irregular 12000-node graph (a path, plus chords u ~ u+3 between
+  // multiples of 3) has rows of 1 to 4 neighbours. Under a bound of 4 and
+  // a loose one of 7, the compacted CSR equals the edge-list build.
+  constexpr Node kNodes = 12000;
+  auto gen = [](Node u, std::vector<Node>& out) {
+    if (u + 1 < kNodes) out.push_back(u + 1);
+    if (u > 0) out.push_back(u - 1);
+    if (u % 3 == 0 && u + 3 < kNodes) out.push_back(u + 3);
+    if (u % 3 == 0 && u >= 3) out.push_back(u - 3);
+  };
+  const Graph expected = edge_list_graph(kNodes, gen);
+  ThreadPool one(1), four(4);
+  for (const unsigned bound : {4u, 7u}) {
+    for (ThreadPool* pool :
+         {static_cast<ThreadPool*>(nullptr), &one, &four}) {
+      SCOPED_TRACE("bound " + std::to_string(bound) + ", " +
+                   std::to_string(pool ? pool->size() : 0) + " lanes");
+      expect_same_graph(
+          expected, build_graph_from_generator(kNodes, bound, per_node(gen),
+                                               pool));
+    }
+  }
+}
+
+TEST(GraphBuilder, EveryFamilyBuildsItsEdgeListGraphAtEveryLaneCount) {
+  // The one-pass build (and, for the permutation families, the odometer
+  // walk with incremental ranks) against an edge list made from per-node
+  // neighbors(u). Hypercube 14, star 7, pancake 7 and the larger k < n
+  // instances span more than one 4096-node block.
+  ThreadPool one(1), four(4);
+  for (const char* spec :
+       {"hypercube 14", "crossed_cube 7", "twisted_cube 7",
+        "folded_hypercube 7", "enhanced_hypercube 7 3", "augmented_cube 6",
+        "shuffle_cube 6", "twisted_n_cube 7", "kary_ncube 3 5",
+        "augmented_kary_ncube 3 4", "star 7", "pancake 7", "nk_star 7 3",
+        "nk_star 8 5", "arrangement 7 3", "arrangement 8 5"}) {
     SCOPED_TRACE(spec);
     const auto topo = make_topology_from_spec(spec);
-    const Graph serial = topo->build_graph();
-    const Graph parallel = topo->build_graph(&pool);
-    ASSERT_EQ(serial.num_nodes(), parallel.num_nodes());
-    ASSERT_EQ(serial.memory_bytes(), parallel.memory_bytes());
-    for (Node u = 0; u < serial.num_nodes(); ++u) {
-      const auto a = serial.neighbors(u);
-      const auto b = parallel.neighbors(u);
-      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << u;
-      const auto ma = serial.mirror_positions(u);
-      const auto mb = parallel.mirror_positions(u);
-      ASSERT_TRUE(std::equal(ma.begin(), ma.end(), mb.begin(), mb.end())) << u;
+    const Graph expected = edge_list_graph(
+        static_cast<std::size_t>(topo->info().num_nodes),
+        [&topo](Node u, std::vector<Node>& out) { topo->neighbors(u, out); });
+    for (ThreadPool* pool :
+         {static_cast<ThreadPool*>(nullptr), &one, &four}) {
+      SCOPED_TRACE(std::to_string(pool ? pool->size() : 0) + " lanes");
+      expect_same_graph(expected, topo->build_graph(pool));
     }
   }
 }
@@ -191,7 +286,7 @@ TEST(GraphBuilder, GeneratorBuildsCycle) {
     out.push_back((u + 1) % 6);
     out.push_back((u + 5) % 6);
   };
-  const Graph g = build_graph_from_generator(6, gen);
+  const Graph g = build_graph_from_generator(6, 2, per_node(gen));
   EXPECT_EQ(g.num_edges(), 6u);
   for (Node v = 0; v < 6; ++v) EXPECT_EQ(g.degree(v), 2u);
 }

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <sstream>
 
+#include "topology/perm_base.hpp"
+#include "topology/registry.hpp"
 #include "util/bitvec.hpp"
 #include "util/mixed_radix.hpp"
 #include "util/perm.hpp"
@@ -254,6 +257,80 @@ TEST(PermCodec, RankZeroIsIdentityPrefix) {
   EXPECT_EQ(a[1], 2);
   EXPECT_EQ(a[2], 3);
   EXPECT_EQ(a[3], 4);
+}
+
+// rank() inverts unrank() on every node of the permutation families, for
+// k == n and for k < n.
+TEST(PermCodec, RankInvertsUnrankOnEveryPermutationFamilyNode) {
+  for (const char* spec :
+       {"star 7", "pancake 7", "nk_star 7 3", "arrangement 7 3"}) {
+    SCOPED_TRACE(spec);
+    const auto topo = make_topology_from_spec(spec);
+    const PermCodec& codec = dynamic_cast<const PermTopology&>(*topo).codec();
+    std::uint8_t a[64];
+    std::size_t mismatches = 0;
+    for (std::uint64_t r = 0; r < codec.count(); ++r) {
+      codec.unrank(r, a);
+      mismatches += codec.rank(a) != r;
+    }
+    EXPECT_EQ(mismatches, 0u) << "of " << codec.count() << " ranks";
+  }
+}
+
+// The odometer visits ranks in order: after r steps from rank 0 the cursor
+// holds what seek(r) decodes, unused tail included.
+TEST(PermCodec, NextStepsToWhatSeekDecodes) {
+  for (const auto& [n, k] : {std::pair<unsigned, unsigned>{6, 6}, {7, 3},
+                             {6, 1}, {8, 5}}) {
+    SCOPED_TRACE(std::to_string(n) + "," + std::to_string(k));
+    const PermCodec codec(n, k);
+    PermCodec::Cursor walked, sought;
+    codec.seek(0, walked);
+    for (std::uint64_t r = 0; r < codec.count(); ++r, codec.next(walked)) {
+      codec.seek(r, sought);
+      ASSERT_EQ(walked.rank, r);
+      ASSERT_TRUE(std::equal(walked.symbols, walked.symbols + n,
+                             sought.symbols))
+          << r;
+      ASSERT_TRUE(std::equal(walked.digits, walked.digits + k,
+                             sought.digits))
+          << r;
+    }
+  }
+}
+
+// The incremental ranks equal rank() of the moved arrangement for every
+// prefix swap, prefix reversal and substitution of every node.
+TEST(PermCodec, MoveRanksEqualFullRanks) {
+  for (const auto& [n, k] : {std::pair<unsigned, unsigned>{7, 7}, {7, 3},
+                             {8, 5}}) {
+    SCOPED_TRACE(std::to_string(n) + "," + std::to_string(k));
+    const PermCodec codec(n, k);
+    PermCodec::Cursor node;
+    codec.seek(0, node);
+    std::size_t mismatches = 0;
+    for (std::uint64_t r = 0; r < codec.count(); ++r, codec.next(node)) {
+      std::uint8_t b[64];
+      for (unsigned i = 1; i < k; ++i) {
+        std::copy(node.symbols, node.symbols + k, b);
+        std::swap(b[0], b[i]);
+        mismatches += codec.rank_prefix_move(node, b, i) != codec.rank(b);
+        std::copy(node.symbols, node.symbols + k, b);
+        std::reverse(b, b + i + 1);
+        mismatches += codec.rank_prefix_move(node, b, i) != codec.rank(b);
+      }
+      for (unsigned i = 0; i < k; ++i) {
+        for (unsigned t = k; t < n; ++t) {
+          std::copy(node.symbols, node.symbols + k, b);
+          b[i] = node.symbols[t];
+          mismatches +=
+              codec.rank_substitution(node, i, node.symbols[t]) !=
+              codec.rank(b);
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0u);
+  }
 }
 
 TEST(PermCodec, RejectsBadParams) {
