@@ -267,7 +267,9 @@ fi
 # -fsanitize=undefined instead of silently wrapping, and the directed-model
 # suites ride along so PMC/BGM hash and bit plumbing get the same scrutiny.
 # churn_test rides along too: the overlay's dead-edge masks, the masked oracle reads and the
-# changed-row bitsets are the same kind of shift-heavy word plumbing. Only
+# changed-row bitsets are the same kind of shift-heavy word plumbing.
+# io_test and roundtrip_test drive the syndrome-file parser's writes (the
+# mutated-file test included) into the arithmetic row addressing. Only
 # the suites that exercise those kernels are built, so the pass stays cheap.
 cd ..
 cmake -B build-ubsan -S . \
@@ -276,7 +278,7 @@ cmake -B build-ubsan -S . \
   "$@"
 cmake --build build-ubsan -j --target util_test syndrome_test \
   dispatch_equiv_test model_test directed_solver_test model_fuzz_test \
-  churn_test
+  churn_test io_test roundtrip_test
 ./build-ubsan/tests/util_test
 ./build-ubsan/tests/syndrome_test
 ./build-ubsan/tests/dispatch_equiv_test
@@ -284,7 +286,9 @@ cmake --build build-ubsan -j --target util_test syndrome_test \
 ./build-ubsan/tests/directed_solver_test
 ./build-ubsan/tests/model_fuzz_test
 ./build-ubsan/tests/churn_test
-echo "ubsan smoke: word-level kernel, directed-model and churn" \
+./build-ubsan/tests/io_test
+./build-ubsan/tests/roundtrip_test
+echo "ubsan smoke: word-level kernel, directed-model, churn and parser" \
      "suites clean under -fsanitize=undefined"
 
 # ASan over every suite: ctest of the whole tier-1 set (examples off, so the

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 
 #include "graph/graph.hpp"
 #include "mm/behavior.hpp"
@@ -51,12 +52,19 @@ class DirectedOracle {
   mutable std::uint64_t lookups_ = 0;
 };
 
-/// Reads a pre-materialised directed syndrome table.
+/// Reads a pre-materialised directed syndrome table. Throws
+/// std::invalid_argument when the table was laid out for a graph of another
+/// node count or degree sequence (see TableOracle).
 class DirectedTableOracle final : public DirectedOracle {
  public:
   DirectedTableOracle(const Graph& g, const DirectedSyndrome& syndrome,
                       DiagnosisModel model)
-      : DirectedOracle(g, model), syndrome_(&syndrome) {}
+      : DirectedOracle(g, model), syndrome_(&syndrome) {
+    if (!syndrome.laid_out_for(g)) {
+      throw std::invalid_argument(
+          "DirectedTableOracle: the syndrome is laid out for another graph");
+    }
+  }
 
   /// Raw word-level read of u's whole outgoing run — uncounted, like
   /// TableOracle::row_bits_at; callers account consulted arcs via

@@ -4,19 +4,32 @@
 
 namespace mmdiag {
 
-DirectedSyndrome::DirectedSyndrome(const Graph& g) {
-  const std::size_t n = g.num_nodes();
-  offsets_.resize(n + 1);
-  degree_.resize(n);
+DirectedSyndrome::DirectedSyndrome(const Graph& g)
+    : num_nodes_(g.num_nodes()) {
   std::uint64_t total = 0;
-  for (std::size_t u = 0; u < n; ++u) {
-    offsets_[u] = total;
-    const std::uint64_t d = g.degree(static_cast<Node>(u));
-    degree_[u] = static_cast<std::uint32_t>(d);
-    total += d;
+  if (g.min_degree() == g.max_degree()) {
+    degree_ = g.max_degree();
+    total = std::uint64_t{num_nodes_} * degree_;
+  } else {
+    offsets_.resize(num_nodes_ + 1);
+    for (std::size_t u = 0; u < num_nodes_; ++u) {
+      offsets_[u] = total;
+      total += g.degree(static_cast<Node>(u));
+    }
+    offsets_[num_nodes_] = total;
   }
-  offsets_[n] = total;
   bits_ = BitVec(total);
+}
+
+bool DirectedSyndrome::laid_out_for(const Graph& g) const noexcept {
+  if (g.num_nodes() != num_nodes_) return false;
+  if (offsets_.empty()) {
+    return g.min_degree() == degree_ && g.max_degree() == degree_;
+  }
+  for (Node u = 0; u < num_nodes_; ++u) {
+    if (g.degree(u) != degree(u)) return false;
+  }
+  return true;
 }
 
 DirectedSyndrome generate_directed_syndrome(const Graph& g,

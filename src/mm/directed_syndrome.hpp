@@ -11,7 +11,11 @@
 //
 // Like Syndrome, a node's whole outgoing run packs into one word for
 // degree <= 64 (row_bits), which the local-diagnosis fast path and the
-// bench reader use; per-arc test()/set_test stay exact at any degree.
+// bench reader use; per-arc test()/set_test stay exact at any degree. And
+// like Syndrome, the layout is arithmetic on a regular graph of degree d:
+// u's run starts at bit u·d, and the table holds its bits plus the node
+// count and d. Only an irregular graph keeps a prefix-sum index of run
+// starts. No pointer to the Graph is kept.
 #pragma once
 
 #include <cassert>
@@ -33,19 +37,19 @@ class DirectedSyndrome {
 
   /// Outcome of u testing its p-th neighbour. Precondition: p < degree(u).
   [[nodiscard]] bool test(Node u, unsigned p) const noexcept {
-    return bits_.get(offsets_[u] + p);
+    return bits_.get(block(u) + p);
   }
   void set_test(Node u, unsigned p, bool value) noexcept {
-    bits_.assign(offsets_[u] + p, value);
+    bits_.assign(block(u) + p, value);
   }
 
   /// All of u's outgoing outcomes as one packed word: bit p = test(u, p).
   /// Requires degree(u) <= 64 (asserted), like Syndrome::row_bits.
   [[nodiscard]] std::uint64_t row_bits(Node u) const noexcept {
-    const std::uint64_t d = degree_[u];
+    const unsigned d = degree(u);
     if (d == 0) return 0;
     assert(d <= 64 && "row_bits: row wider than one word — use test()");
-    return bits_.extract(offsets_[u], static_cast<unsigned>(d));
+    return bits_.extract(block(u), d);
   }
 
   /// Number of directed arcs stored: Σ_u d(u) (= 2|E|). One test per arc.
@@ -53,14 +57,30 @@ class DirectedSyndrome {
     return bits_.size();
   }
   [[nodiscard]] std::uint64_t ones() const noexcept { return bits_.count(); }
+  /// Heap bytes: the bits alone on a regular graph, plus the index on an
+  /// irregular one.
   [[nodiscard]] std::uint64_t memory_bytes() const noexcept {
-    return bits_.memory_bytes() + offsets_.size() * sizeof(std::uint64_t) +
-           degree_.size() * sizeof(std::uint32_t);
+    return bits_.memory_bytes() + offsets_.size() * sizeof(std::uint64_t);
   }
 
+  /// True iff this table's layout is `g`'s: the same node count and the
+  /// same degree at every node. O(1) on a regular graph.
+  [[nodiscard]] bool laid_out_for(const Graph& g) const noexcept;
+
  private:
-  std::vector<std::uint64_t> offsets_;  // per-node run start (CSR order)
-  std::vector<std::uint32_t> degree_;
+  // The one addressing path: where u's run starts, and its length.
+  [[nodiscard]] std::uint64_t block(Node u) const noexcept {
+    return offsets_.empty() ? std::uint64_t{u} * degree_ : offsets_[u];
+  }
+  [[nodiscard]] unsigned degree(Node u) const noexcept {
+    return offsets_.empty()
+               ? degree_
+               : static_cast<unsigned>(offsets_[u + 1] - offsets_[u]);
+  }
+
+  std::size_t num_nodes_ = 0;
+  std::uint32_t degree_ = 0;            // the common degree (regular graphs)
+  std::vector<std::uint64_t> offsets_;  // irregular graphs only: n+1 run starts
   BitVec bits_;
 };
 

@@ -13,6 +13,7 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -56,19 +57,27 @@ class SyndromeOracle {
   mutable std::uint64_t lookups_ = 0;
 };
 
-/// Reads a pre-materialised syndrome table.
+/// Reads a pre-materialised syndrome table. Throws std::invalid_argument
+/// when the table was laid out for a graph of another node count or degree
+/// sequence: reading it through `g`'s positions would run out of bounds.
 class TableOracle final : public SyndromeOracle {
  public:
   TableOracle(const Graph& g, const Syndrome& syndrome)
-      : SyndromeOracle(g), syndrome_(&syndrome) {}
+      : SyndromeOracle(g), syndrome_(&syndrome) {
+    if (!syndrome.laid_out_for(g)) {
+      throw std::invalid_argument(
+          "TableOracle: the syndrome is laid out for another graph");
+    }
+  }
 
   /// Split row addressing (Syndrome::row_location / row_bits_at): cohort
   /// readers resolve a row's location once — it is layout-determined, hence
-  /// identical for every syndrome on the same graph — and issue one raw
-  /// read per lane. Deliberately *uncounted*: a row read is a physical
-  /// access pattern, not a batch of logical look-ups, so the cohort kernel
-  /// charges exactly the pairs it consults (§6's look-up complexity is
-  /// about results consulted, not words touched).
+  /// identical for every syndrome on the same graph (u·d² + i·d on a
+  /// regular graph) — and issue one raw read per lane. Deliberately
+  /// *uncounted*: a row read is a physical access pattern, not a batch of
+  /// logical look-ups, so the cohort kernel charges exactly the pairs it
+  /// consults (§6's look-up complexity is about results consulted, not
+  /// words touched).
   [[nodiscard]] Syndrome::RowLocation row_location(Node u,
                                                    unsigned i) const noexcept {
     return syndrome_->row_location(u, i);

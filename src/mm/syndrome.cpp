@@ -2,20 +2,36 @@
 
 namespace mmdiag {
 
-Syndrome::Syndrome(const Graph& g) {
-  const std::size_t n = g.num_nodes();
-  offsets_.resize(n + 1);
-  degree_.resize(n);
+Syndrome::Syndrome(const Graph& g) : num_nodes_(g.num_nodes()) {
   std::uint64_t total = 0;
-  for (std::size_t u = 0; u < n; ++u) {
-    offsets_[u] = total;
-    const std::uint64_t d = g.degree(static_cast<Node>(u));
-    degree_[u] = static_cast<std::uint32_t>(d);
-    total += d * d;
-    logical_tests_ += d * (d - 1) / 2;
+  if (g.min_degree() == g.max_degree()) {
+    const std::uint64_t d = g.max_degree();
+    degree_ = static_cast<std::uint32_t>(d);
+    total = num_nodes_ * d * d;
+    logical_tests_ = num_nodes_ * (d * (d - 1) / 2);
+  } else {
+    offsets_.resize(num_nodes_);
+    degrees_.resize(num_nodes_);
+    for (std::size_t u = 0; u < num_nodes_; ++u) {
+      const std::uint64_t d = g.degree(static_cast<Node>(u));
+      offsets_[u] = total;
+      degrees_[u] = static_cast<std::uint32_t>(d);
+      total += d * d;
+      logical_tests_ += d * (d - 1) / 2;
+    }
   }
-  offsets_[n] = total;
   bits_ = BitVec(total);
+}
+
+bool Syndrome::laid_out_for(const Graph& g) const noexcept {
+  if (g.num_nodes() != num_nodes_) return false;
+  if (degrees_.empty()) {
+    return g.min_degree() == degree_ && g.max_degree() == degree_;
+  }
+  for (std::size_t u = 0; u < num_nodes_; ++u) {
+    if (g.degree(static_cast<Node>(u)) != degrees_[u]) return false;
+  }
+  return true;
 }
 
 Syndrome generate_syndrome(const Graph& g, const FaultSet& faults,

@@ -9,6 +9,15 @@
 // word-level extract instead of d strided bit gathers. total_tests() keeps
 // reporting the logical count Σ d(d-1)/2 — the layout is an access-path
 // choice, not a change to what the syndrome contains.
+//
+// The blocks sit back to back in node order. On a regular graph of degree
+// d — every registry family — the layout is arithmetic: u's block starts
+// at bit u·d², so a table is its bits plus the node count and d, with no
+// per-node index. Only an irregular graph (test-only hub, path and cut
+// graphs) keeps a prefix-sum index of block starts and degrees. The table
+// stores its layout by value, never a pointer to the Graph, so it outlives
+// the graph it was built from and reads against any graph of the same
+// layout (laid_out_for).
 #pragma once
 
 #include <cassert>
@@ -46,28 +55,28 @@ class Syndrome {
   /// Rows at degree 63/64 that straddle word boundaries stay exact —
   /// pinned by tests/syndrome_test.cpp.
   [[nodiscard]] std::uint64_t row_bits(Node u, unsigned i) const noexcept {
-    const std::uint64_t d = degree_[u];
+    const std::uint64_t d = degree(u);
     if (d == 0) return 0;
     assert(d <= 64 && "row_bits: row wider than one word — use test()");
     assert(i < d && "row_bits: pivot position out of range");
-    return bits_.extract(offsets_[u] + i * d, static_cast<unsigned>(d));
+    return bits_.extract(block(u) + i * d, static_cast<unsigned>(d));
   }
 
   /// Split row addressing for cohort readers: the (bit offset, width) of
   /// row s_u(i, ·) depends only on the graph's layout, so every syndrome on
   /// the same graph places the row identically. A caller reading the same
   /// row across many syndromes resolves the address once via row_location()
-  /// and issues one raw row_bits_at() per syndrome, instead of re-walking
-  /// each syndrome's (identical) offset and degree tables.
+  /// and issues one raw row_bits_at() per syndrome. On a regular graph the
+  /// address is u·d² + i·d, computed from two stored integers.
   struct RowLocation {
     std::uint64_t bit_offset;
     unsigned width;
   };
   [[nodiscard]] RowLocation row_location(Node u, unsigned i) const noexcept {
-    const std::uint64_t d = degree_[u];
+    const std::uint64_t d = degree(u);
     assert(d >= 1 && d <= 64 && "row_location: row wider than one word");
     assert(i < d && "row_location: pivot position out of range");
-    return {offsets_[u] + i * d, static_cast<unsigned>(d)};
+    return {block(u) + i * d, static_cast<unsigned>(d)};
   }
   [[nodiscard]] std::uint64_t row_bits_at(RowLocation loc) const noexcept {
     return bits_.extract(loc.bit_offset, loc.width);
@@ -81,19 +90,35 @@ class Syndrome {
   [[nodiscard]] std::uint64_t ones() const noexcept {
     return bits_.count() / 2;  // every result is mirrored across the diagonal
   }
+  /// Heap bytes: the bits alone on a regular graph, plus the index on an
+  /// irregular one.
   [[nodiscard]] std::uint64_t memory_bytes() const noexcept {
     return bits_.memory_bytes() + offsets_.size() * sizeof(std::uint64_t) +
-           degree_.size() * sizeof(std::uint32_t);
+           degrees_.size() * sizeof(std::uint32_t);
   }
+
+  /// True iff this table's layout is `g`'s: the same node count and the
+  /// same degree at every node. O(1) on a regular graph.
+  [[nodiscard]] bool laid_out_for(const Graph& g) const noexcept;
 
  private:
+  // The one addressing path: where u's d×d block starts, and its d.
+  [[nodiscard]] std::uint64_t block(Node u) const noexcept {
+    return offsets_.empty() ? std::uint64_t{u} * degree_ * degree_
+                            : offsets_[u];
+  }
+  [[nodiscard]] unsigned degree(Node u) const noexcept {
+    return degrees_.empty() ? degree_ : degrees_[u];
+  }
   [[nodiscard]] std::uint64_t pair_index(Node u, unsigned i, unsigned j) const noexcept {
     // Row-major within u's d×d block.
-    return offsets_[u] + std::uint64_t{i} * degree_[u] + j;
+    return block(u) + std::uint64_t{i} * degree(u) + j;
   }
 
-  std::vector<std::uint64_t> offsets_;  // per-node block start
-  std::vector<std::uint32_t> degree_;
+  std::size_t num_nodes_ = 0;
+  std::uint32_t degree_ = 0;            // the common degree (regular graphs)
+  std::vector<std::uint64_t> offsets_;  // irregular graphs only: block starts
+  std::vector<std::uint32_t> degrees_;  // irregular graphs only
   std::uint64_t logical_tests_ = 0;
   BitVec bits_;
 };

@@ -8,6 +8,7 @@
 #include "core/diagnoser.hpp"
 #include "io/syndrome_io.hpp"
 #include "mm/injector.hpp"
+#include "topology/registry.hpp"
 #include "test_util.hpp"
 #include "util/rng.hpp"
 
@@ -111,6 +112,139 @@ TEST(SyndromeIo, MalformedInputsRejectedWithLineNumbers) {
 
   std::string no_end = base.substr(0, base.find("end"));
   expect_fail(no_end, "end");
+}
+
+// ---------------------------------------------------------------------------
+// Hostile input: seeded byte-level mutations of real v1 files.
+// ---------------------------------------------------------------------------
+
+/// One seeded mutation: flip a bit of one byte, delete 1-4 bytes, duplicate
+/// a line, or truncate.
+std::string mutate(const std::string& text, Rng& rng) {
+  std::string out = text;
+  switch (rng.below(4)) {
+    case 0: {
+      const std::size_t pos = rng.below(out.size());
+      out[pos] = static_cast<char>(out[pos] ^ (1u << rng.below(8)));
+      break;
+    }
+    case 1:
+      out.erase(rng.below(out.size()), 1 + rng.below(4));
+      break;
+    case 2: {
+      std::size_t begin = rng.below(out.size());
+      begin = out.rfind('\n', begin);
+      begin = begin == std::string::npos ? 0 : begin + 1;
+      const std::size_t end = out.find('\n', begin);
+      const std::size_t len =
+          (end == std::string::npos ? out.size() : end + 1) - begin;
+      out.insert(begin, out.substr(begin, len));
+      break;
+    }
+    default:
+      out.resize(rng.below(out.size()));
+      break;
+  }
+  return out;
+}
+
+/// Feeds `count` mutants of `text` to `parse`; each must parse (and pass
+/// `check`) or be refused with a line-numbered syndrome-file error.
+/// Returns how many parsed, so a caller can see both outcomes occurred.
+template <typename Parse>
+std::size_t survive_mutations(const std::string& text, std::uint64_t seed,
+                              std::size_t count, Parse parse) {
+  Rng rng(seed);
+  std::size_t parsed = 0;
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::string mutant = mutate(text, rng);
+    SCOPED_TRACE("mutant " + std::to_string(k) + ":\n" + mutant);
+    std::stringstream in(mutant);
+    try {
+      parse(in);
+      ++parsed;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("syndrome file, line ", 0), 0u) << what;
+    }
+  }
+  return parsed;
+}
+
+/// A mutant may rewrite the topology line; this resolver serves every spec
+/// through test::Resolver but refuses one naming more than 4096 nodes, so
+/// a flipped digit cannot ask for a huge graph.
+class SmallResolver {
+ public:
+  const Graph& operator()(const std::string& spec) {
+    if (make_topology_from_spec(spec)->info().num_nodes > 4096) {
+      throw std::invalid_argument("more than 4096 nodes");
+    }
+    return resolve_(spec);
+  }
+
+ private:
+  test::Resolver resolve_;
+};
+
+TEST(SyndromeIo, MutatedMmStarFilesParseOrFailWithALineNumber) {
+  test::Instance inst("hypercube 5");
+  Rng rng(3);
+  const FaultSet faults(32, inject_uniform(32, 4, rng));
+  const Syndrome original =
+      generate_syndrome(inst.graph, faults, FaultyBehavior::kRandom, 11);
+  std::stringstream buffer;
+  write_syndrome(buffer, "hypercube 5", inst.graph, original);
+
+  SmallResolver resolve;
+  const std::size_t parsed = survive_mutations(
+      buffer.str(), 21, 400, [&resolve](std::istream& in) {
+        const ParsedSyndrome loaded = read_syndrome(in, std::ref(resolve));
+        const Graph& g = resolve(loaded.spec);
+        ASSERT_TRUE(loaded.syndrome.laid_out_for(g));
+        std::uint64_t ones = 0;
+        for (Node u = 0; u < g.num_nodes(); ++u) {
+          for (unsigned i = 0; i + 1 < g.degree(u); ++i) {
+            for (unsigned j = i + 1; j < g.degree(u); ++j) {
+              ASSERT_EQ(loaded.syndrome.test(u, i, j),
+                        loaded.syndrome.test(u, j, i));
+              ones += loaded.syndrome.test(u, i, j) ? 1 : 0;
+            }
+          }
+        }
+        ASSERT_EQ(ones, loaded.syndrome.ones());
+      });
+  EXPECT_GT(parsed, 0u);
+  EXPECT_LT(parsed, 400u);
+}
+
+TEST(SyndromeIo, MutatedPmcFilesParseOrFailWithALineNumber) {
+  test::Instance inst("star 4");
+  Rng rng(4);
+  const FaultSet faults(24, inject_uniform(24, 2, rng));
+  const DirectedSyndrome original = generate_directed_syndrome(
+      inst.graph, faults, DiagnosisModel::kPMC, FaultyBehavior::kRandom, 12);
+  std::stringstream buffer;
+  write_directed_syndrome(buffer, "star 4", DiagnosisModel::kPMC, inst.graph,
+                          original);
+
+  SmallResolver resolve;
+  const std::size_t parsed = survive_mutations(
+      buffer.str(), 22, 400, [&resolve](std::istream& in) {
+        const ParsedDirectedSyndrome loaded =
+            read_directed_syndrome(in, std::ref(resolve));
+        const Graph& g = resolve(loaded.spec);
+        ASSERT_TRUE(loaded.syndrome.laid_out_for(g));
+        std::uint64_t ones = 0;
+        for (Node u = 0; u < g.num_nodes(); ++u) {
+          for (unsigned p = 0; p < g.degree(u); ++p) {
+            ones += loaded.syndrome.test(u, p) ? 1 : 0;
+          }
+        }
+        ASSERT_EQ(ones, loaded.syndrome.ones());
+      });
+  EXPECT_GT(parsed, 0u);
+  EXPECT_LT(parsed, 400u);
 }
 
 TEST(NodeListIo, RoundTrip) {
