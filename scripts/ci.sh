@@ -269,8 +269,10 @@ fi
 # churn_test rides along too: the overlay's dead-edge masks, the masked oracle reads and the
 # changed-row bitsets are the same kind of shift-heavy word plumbing.
 # io_test and roundtrip_test drive the syndrome-file parser's writes (the
-# mutated-file test included) into the arithmetic row addressing. Only
-# the suites that exercise those kernels are built, so the pass stays cheap.
+# mutated-file test included) into the arithmetic row addressing.
+# engine_test and batch_test drive serve()'s request and cohort bodies,
+# which build each request's driver on the cached calibration. Only the
+# suites that exercise those paths are built, so the pass stays cheap.
 cd ..
 cmake -B build-ubsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -278,7 +280,7 @@ cmake -B build-ubsan -S . \
   "$@"
 cmake --build build-ubsan -j --target util_test syndrome_test \
   dispatch_equiv_test model_test directed_solver_test model_fuzz_test \
-  churn_test io_test roundtrip_test
+  churn_test io_test roundtrip_test engine_test batch_test
 ./build-ubsan/tests/util_test
 ./build-ubsan/tests/syndrome_test
 ./build-ubsan/tests/dispatch_equiv_test
@@ -288,8 +290,10 @@ cmake --build build-ubsan -j --target util_test syndrome_test \
 ./build-ubsan/tests/churn_test
 ./build-ubsan/tests/io_test
 ./build-ubsan/tests/roundtrip_test
-echo "ubsan smoke: word-level kernel, directed-model, churn and parser" \
-     "suites clean under -fsanitize=undefined"
+./build-ubsan/tests/engine_test
+./build-ubsan/tests/batch_test
+echo "ubsan smoke: word-level kernel, directed-model, churn, parser, engine" \
+     "and batch suites clean under -fsanitize=undefined"
 
 # ASan over every suite: ctest of the whole tier-1 set (examples off, so the
 # CLI-driven corpus and batch cases stay with the main build) must run

@@ -3,6 +3,7 @@
 #include <array>
 #include <bit>
 #include <stdexcept>
+#include <string>
 
 namespace mmdiag {
 
@@ -23,6 +24,18 @@ unsigned resolve_delta(const Topology& topology, const DiagnoserOptions& o) {
         "validity conditions); pass DiagnoserOptions::delta explicitly");
   }
   return bound;
+}
+
+/// The failure strings diagnose() and diagnose_cohort() share.
+std::string uncertified_reason(unsigned delta) {
+  return "no component certified within delta+1 probes; the fault count "
+         "likely exceeds the bound delta = " +
+         std::to_string(delta);
+}
+
+std::string boundary_reason(std::size_t boundary, unsigned delta) {
+  return "boundary larger than delta (" + std::to_string(boundary) + " > " +
+         std::to_string(delta) + "); the fault count exceeds the bound";
 }
 
 }  // namespace
@@ -99,10 +112,7 @@ DiagnosisResult Diagnoser::diagnose(const SyndromeOracle& oracle) {
   }
   if (!found) {
     out.lookups = oracle.lookups();
-    out.failure_reason =
-        "no component certified within delta+1 probes; the fault count "
-        "likely exceeds the bound delta = " +
-        std::to_string(delta_);
+    out.failure_reason = uncertified_reason(delta_);
     out.diagnose_seconds = solve_timer.seconds();
     return out;
   }
@@ -136,10 +146,7 @@ DiagnosisResult Diagnoser::diagnose(const SyndromeOracle& oracle) {
 
   if (out.faults.size() > delta_) {
     // Impossible under the |F| <= δ promise (N ⊆ F); report rather than lie.
-    out.failure_reason = "boundary larger than delta (" +
-                         std::to_string(out.faults.size()) + " > " +
-                         std::to_string(delta_) +
-                         "); the fault count exceeds the bound";
+    out.failure_reason = boundary_reason(out.faults.size(), delta_);
     out.faults.clear();
     return out;
   }
@@ -206,10 +213,7 @@ std::vector<DiagnosisResult> Diagnoser::diagnose_cohort(
     }
   }
   for (std::uint64_t m = live & ~certified; m != 0; m &= m - 1) {
-    out[std::countr_zero(m)].failure_reason =
-        "no component certified within delta+1 probes; the fault count "
-        "likely exceeds the bound delta = " +
-        std::to_string(delta_);
+    out[std::countr_zero(m)].failure_reason = uncertified_reason(delta_);
   }
 
   // Phases 2+3 per distinct certified component: lanes that certified the
@@ -252,10 +256,7 @@ std::vector<DiagnosisResult> Diagnoser::diagnose_cohort(
     for (std::uint64_t m = group; m != 0; m &= m - 1) {
       const unsigned L = static_cast<unsigned>(std::countr_zero(m));
       if (out[L].faults.size() > delta_) {
-        out[L].failure_reason =
-            "boundary larger than delta (" +
-            std::to_string(out[L].faults.size()) + " > " +
-            std::to_string(delta_) + "); the fault count exceeds the bound";
+        out[L].failure_reason = boundary_reason(out[L].faults.size(), delta_);
         out[L].faults.clear();
       } else {
         out[L].success = true;

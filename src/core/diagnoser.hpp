@@ -77,7 +77,10 @@ struct DiagnosisResult {
                                      // neighbourhood reads alone, no
                                      // global solve (directed serving only)
   double setup_seconds = 0;        // obtaining Topology+Graph+partition
-                                   // (engine-filled; 0 on the direct path)
+                                   // and building the request's driver
+                                   // (a BGM local fallback's counts as
+                                   // solve time; engine-filled, 0 on the
+                                   // direct path)
   double diagnose_seconds = 0;     // wall time of the diagnose() call
 };
 

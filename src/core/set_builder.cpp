@@ -10,6 +10,23 @@
 
 namespace mmdiag {
 
+namespace {
+
+/// kHashSpread's candidate order, shared by the scalar and sliced rounds:
+/// by child, then so the first edge per child carries the parent
+/// minimising mix64(parent, child) — the coordination-free spread a
+/// distributed joiner can compute from its offers alone — with the parent
+/// breaking hash ties, so the order is strict and total.
+constexpr auto hash_spread_order = [](const auto& a, const auto& b) {
+  if (a.child != b.child) return a.child < b.child;
+  const auto ha = mix64(a.parent, a.child);
+  const auto hb = mix64(b.parent, b.child);
+  if (ha != hb) return ha < hb;
+  return a.parent < b.parent;
+};
+
+}  // namespace
+
 SetBuilder::SetBuilder(const Graph& g, ParentRule rule)
     : graph_(&g), rule_(rule) {
   const std::size_t n = g.num_nodes();
@@ -197,17 +214,7 @@ SetBuilderResult SetBuilder::run_impl(const SyndromeOracle& oracle, Node u0,
           i = j;
         }
       } else if (rule_ == ParentRule::kHashSpread) {
-        // Order candidates so the first edge per child carries the parent
-        // minimising mix64(parent, child) — the coordination-free spread a
-        // distributed joiner can compute from its offers alone.
-        std::sort(zero_edges_.begin(), zero_edges_.end(),
-                  [](const ZeroEdge& a, const ZeroEdge& b) {
-                    if (a.child != b.child) return a.child < b.child;
-                    const auto ha = mix64(a.parent, a.child);
-                    const auto hb = mix64(b.parent, b.child);
-                    if (ha != hb) return ha < hb;
-                    return a.parent < b.parent;
-                  });
+        std::sort(zero_edges_.begin(), zero_edges_.end(), hash_spread_order);
       }
       // Remaining candidates (all of them under kHashSpread) go to the
       // first admitting parent in edge order.
@@ -599,13 +606,7 @@ void SetBuilder::run_sliced_impl(const BitSlicedOracle& oracle, Node u0,
         }
       } else if (rule_ == ParentRule::kHashSpread) {
         std::sort(s_zero_edges_.begin(), s_zero_edges_.end(),
-                  [](const SlicedEdge& a, const SlicedEdge& b) {
-                    if (a.child != b.child) return a.child < b.child;
-                    const auto ha = mix64(a.parent, a.child);
-                    const auto hb = mix64(b.parent, b.child);
-                    if (ha != hb) return ha < hb;
-                    return a.parent < b.parent;
-                  });
+                  hash_spread_order);
       }
       // Remaining candidates (all of them under kHashSpread) go to the
       // first admitting parent in edge order, per lane.

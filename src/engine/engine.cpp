@@ -4,7 +4,6 @@
 #include <functional>
 #include <stdexcept>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "topology/registry.hpp"
@@ -77,8 +76,7 @@ EngineOptions checked(EngineOptions options) {
 DiagnosisEngine::DiagnosisEngine(EngineOptions options)
     : options_(checked(options)),
       capacity_(options.cache_capacity == 0 ? 1 : options.cache_capacity),
-      pool_(options.threads),
-      lane_scratch_(pool_.size()) {}
+      pool_(options.threads) {}
 
 DiagnosisEngine::ResolvedKey DiagnosisEngine::resolve(
     const std::string& spec, unsigned delta, ParentRule rule,
@@ -180,54 +178,23 @@ DiagnosisEngine::Admission DiagnosisEngine::admit(
   return out;
 }
 
-DiagnosisEngine::LaneDiagnoser& DiagnosisEngine::lane_entry(
-    LaneScratch& scratch, const std::shared_ptr<const Calibration>& cal) const {
-  auto it = scratch.find(cal.get());
-  if (it == scratch.end()) {
-    if (scratch.size() >= capacity_) {
-      prune_stale(scratch);
-      if (scratch.size() >= capacity_) scratch.clear();
-    }
-    it = scratch.emplace(cal.get(), LaneDiagnoser{cal, nullptr, nullptr}).first;
-  }
-  return it->second;
-}
-
-Diagnoser& DiagnosisEngine::mmstar_driver(LaneDiagnoser& entry) const {
-  if (!entry.diagnoser) {
-    entry.diagnoser = std::make_unique<Diagnoser>(
-        graph_handle(entry.calibration), entry.calibration->partition,
-        options_.diagnoser);
-  }
-  return *entry.diagnoser;
-}
-
-DirectedDiagnoser& DiagnosisEngine::directed_driver(
-    LaneDiagnoser& entry) const {
-  if (!entry.directed) {
-    entry.directed = std::make_unique<DirectedDiagnoser>(
-        entry.calibration->graph, entry.calibration->delta());
-  }
-  return *entry.directed;
-}
-
-DiagnosisResult DiagnosisEngine::answer(const EngineRequest& request,
-                                        LaneScratch& drivers) {
+DiagnosisResult DiagnosisEngine::answer(const EngineRequest& request) {
   const Timer setup_timer;
   Admission admitted = admit(request);
   if (!admitted.refusal.empty()) {
     return failed(std::move(admitted.refusal), admitted.reused,
                   setup_timer.seconds());
   }
-  LaneDiagnoser& lane = lane_entry(drivers, admitted.calibration);
+  const Calibration& cal = *admitted.calibration;
   DiagnosisResult out;
   double setup_seconds = 0;
   if (request.oracle != nullptr) {
-    Diagnoser& driver = mmstar_driver(lane);
+    Diagnoser driver(graph_handle(admitted.calibration), cal.partition,
+                     options_.diagnoser);
     setup_seconds = setup_timer.seconds();
     out = driver.diagnose(*request.oracle);
   } else if (request.local_node == kNoNode) {
-    DirectedDiagnoser& driver = directed_driver(lane);
+    DirectedDiagnoser driver(cal.graph, cal.delta());
     setup_seconds = setup_timer.seconds();
     out = driver.diagnose(*request.directed);
   } else {
@@ -238,10 +205,11 @@ DiagnosisResult DiagnosisEngine::answer(const EngineRequest& request,
     setup_seconds = setup_timer.seconds();
     const Timer solve_timer;
     const Node node = request.local_node;
-    const LocalDiagnosisResult local = bgm_local_diagnose(
-        admitted.calibration->graph, *request.directed, node);
+    const LocalDiagnosisResult local =
+        bgm_local_diagnose(cal.graph, *request.directed, node);
     if (local.status == LocalDiagnosisStatus::kUnknown) {
-      out = directed_driver(lane).diagnose(*request.directed);
+      out = DirectedDiagnoser(cal.graph, cal.delta())
+                .diagnose(*request.directed);
       if (out.success) {
         const bool faulty =
             std::binary_search(out.faults.begin(), out.faults.end(), node);
@@ -265,14 +233,12 @@ DiagnosisResult DiagnosisEngine::answer(const EngineRequest& request,
 
 DiagnosisResult DiagnosisEngine::diagnose(const std::string& spec,
                                           const SyndromeOracle& oracle) {
-  LaneScratch drivers;
-  return answer(EngineRequest{spec, &oracle, nullptr, kNoNode}, drivers);
+  return answer(EngineRequest{spec, &oracle, nullptr, kNoNode});
 }
 
 DiagnosisResult DiagnosisEngine::diagnose_directed(
     const std::string& spec, const DirectedOracle& oracle) {
-  LaneScratch drivers;
-  return answer(EngineRequest{spec, nullptr, &oracle, kNoNode}, drivers);
+  return answer(EngineRequest{spec, nullptr, &oracle, kNoNode});
 }
 
 DiagnosisResult DiagnosisEngine::local_diagnose(const std::string& spec,
@@ -281,8 +247,7 @@ DiagnosisResult DiagnosisEngine::local_diagnose(const std::string& spec,
   // kNoNode would read as a global request: let the fast path reject it
   // (model first, then range) as it rejects every out-of-range node.
   if (node == kNoNode) (void)bgm_local_diagnose(oracle.graph(), oracle, node);
-  LaneScratch drivers;
-  return answer(EngineRequest{spec, nullptr, &oracle, node}, drivers);
+  return answer(EngineRequest{spec, nullptr, &oracle, node});
 }
 
 std::vector<DiagnosisResult> DiagnosisEngine::serve(
@@ -354,17 +319,16 @@ std::vector<DiagnosisResult> DiagnosisEngine::serve(
     }
   }
 
-  // Each lane keeps one driver per calibration in lane_scratch_[lane], so
-  // scratch (frontiers, stamp sets) is reused across the stream without
-  // crossing threads.
+  // Every item builds its own driver on the admitted calibration, so no
+  // lane holds a calibration past its item.
   pool_.parallel_for(
       cohorts.size() + scalar_idx.size(),
-      [&](unsigned lane, std::size_t item) {
+      [&](unsigned, std::size_t item) {
         if (item >= cohorts.size()) {
           for (std::size_t i = scalar_idx[item - cohorts.size()]; i != kNone;
                i = next_same[i]) {
             try {
-              results[i] = answer(requests[i], lane_scratch_[lane]);
+              results[i] = answer(requests[i]);
             } catch (const std::exception& e) {
               // A malformed or unsupported request fails alone.
               results[i] = DiagnosisResult{};
@@ -380,8 +344,9 @@ std::vector<DiagnosisResult> DiagnosisEngine::serve(
           std::vector<Admission> admitted;
           admitted.reserve(idx.size());
           for (const std::size_t i : idx) admitted.push_back(admit(requests[i]));
-          Diagnoser& diagnoser = mmstar_driver(
-              lane_entry(lane_scratch_[lane], admitted.back().calibration));
+          Diagnoser diagnoser(graph_handle(admitted.back().calibration),
+                              admitted.back().calibration->partition,
+                              options_.diagnoser);
           const double setup_seconds = setup_timer.seconds();
           // A lane whose oracle does not match the calibrated graph fails
           // alone; the others solve as a narrower cohort, which leaves
@@ -433,18 +398,6 @@ std::unique_ptr<Diagnoser> DiagnosisEngine::make_diagnoser(
       nullptr);
   return std::make_unique<Diagnoser>(graph_handle(cal), cal->partition,
                                      diagnoser_options);
-}
-
-void DiagnosisEngine::prune_stale(LaneScratch& scratch) const {
-  std::unordered_set<const Calibration*> resident;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    resident.reserve(lru_.size());
-    for (const Entry& entry : lru_) resident.insert(entry.calibration.get());
-  }
-  std::erase_if(scratch, [&](const auto& kv) {
-    return resident.find(kv.first) == resident.end();
-  });
 }
 
 std::size_t DiagnosisEngine::invalidate(const std::string& spec) {

@@ -22,9 +22,11 @@
 //     evicted mid-flight stays alive for every Diagnoser still holding it;
 //   - serve(): the one batch path. A mixed-spec request stream fanned over
 //     the engine's ThreadPool, with same-spec materialised syndromes solved
-//     in bitsliced 64-wide cohorts, per-lane Diagnoser scratch reuse and
-//     per-request setup/solve accounting
-//     (DiagnosisResult::calibration_reused / setup_seconds).
+//     in bitsliced 64-wide cohorts, one driver built per request (per
+//     cohort) on the cached calibration, and per-request setup/solve
+//     accounting (DiagnosisResult::calibration_reused / setup_seconds).
+//     The cache holds calibrations and nothing else: once invalidate() or
+//     the LRU drops an entry, no lane keeps it alive.
 //
 // Results are bit-identical to constructing a Diagnoser directly and
 // running it on each syndrome in turn: the engine only decides *where* the
@@ -134,8 +136,8 @@ class DiagnosisEngine {
       DiagnosisModel model = DiagnosisModel::kMMStar);
 
   /// Diagnose one syndrome through the cache. Thread-safe (a fresh
-  /// Diagnoser is built per call — use serve() to amortise scratch across a
-  /// stream). Fills the result's calibration_reused/setup_seconds split.
+  /// Diagnoser is built per call, as serve() builds one per request).
+  /// Fills the result's calibration_reused/setup_seconds split.
   /// An oracle over a graph whose node count or degree sequence differs
   /// from the calibrated topology's yields a failed result (every entry
   /// point, serve() included, checks this before reading the syndrome).
@@ -157,10 +159,11 @@ class DiagnosisEngine {
                                                Node node);
 
   /// Diagnose a mixed-spec request stream over the engine's ThreadPool,
-  /// reusing per-lane Diagnoser scratch per calibration. requests[i] ->
-  /// results[i]. Every full 64-wide run of same-spec TableOracle requests
-  /// (degree <= 64, CSR calibration) is solved as one bitsliced cohort;
-  /// results are bit-identical to the scalar path either way.
+  /// building each request's driver (each cohort's Diagnoser) on its
+  /// cached calibration. requests[i] -> results[i]. Every full 64-wide run
+  /// of same-spec TableOracle requests (degree <= 64, CSR calibration) is
+  /// solved as one bitsliced cohort; results are bit-identical to the
+  /// scalar path either way.
   /// Per-request failures (malformed request, unknown spec, uncertifiable
   /// bound, an oracle over another graph) become failed results, never
   /// exceptions — one bad request must not poison a stream or its cohort.
@@ -236,19 +239,10 @@ class DiagnosisEngine {
   static constexpr std::size_t kStripes = 16;
   std::array<std::mutex, kStripes> stripes_;
 
-  std::mutex serve_mu_;  // one serve() at a time owns lane_scratch_
-  /// One calibration's drivers, each built on first use: a calibration is
-  /// MM* or directed (the model is in its cache key), so at most one of the
-  /// two slots is ever filled.
-  struct LaneDiagnoser {
-    std::shared_ptr<const Calibration> calibration;
-    std::unique_ptr<Diagnoser> diagnoser;
-    std::unique_ptr<DirectedDiagnoser> directed;
-  };
-  using LaneScratch = std::unordered_map<const Calibration*, LaneDiagnoser>;
-  /// lane_scratch_[lane] is touched only by lane `lane` inside serve()'s
-  /// parallel_for; the single-request entry points pass a fresh map.
-  std::vector<LaneScratch> lane_scratch_;
+  /// serve() calls run one at a time: each already fans its stream over
+  /// every pool lane, so a second concurrent call would only find the pool
+  /// busy and answer its whole stream inline on the calling thread.
+  std::mutex serve_mu_;
 
   /// The admit step of a well-formed request: the calibration for its
   /// model (throws what get_or_build throws), whether it was reused, and a
@@ -261,24 +255,11 @@ class DiagnosisEngine {
   };
   [[nodiscard]] Admission admit(const EngineRequest& request);
 
-  /// The one request body: admit, answer with `drivers`' driver for the
-  /// calibration (MM* solve, directed solve, or the BGM local fast path
-  /// with its global fallback), and stamp the setup/solve split.
-  [[nodiscard]] DiagnosisResult answer(const EngineRequest& request,
-                                       LaneScratch& drivers);
-
-  /// The entry for `cal` in `scratch`. Stale entries for evicted
-  /// calibrations can never be looked up again (the pointer differs), so
-  /// on overflow those are pruned first, keeping pinned memory
-  /// proportional to the cache capacity; only if every entry is still
-  /// resident is the map cleared outright.
-  LaneDiagnoser& lane_entry(LaneScratch& scratch,
-                            const std::shared_ptr<const Calibration>& cal) const;
-  Diagnoser& mmstar_driver(LaneDiagnoser& entry) const;
-  DirectedDiagnoser& directed_driver(LaneDiagnoser& entry) const;
-
-  /// Drops scratch entries whose calibration the LRU has since evicted.
-  void prune_stale(LaneScratch& scratch) const;
+  /// The one request body: admit, build the request's driver on the
+  /// admitted calibration (an MM* Diagnoser, a DirectedDiagnoser, or — for
+  /// a BGM local request — the fast path, with a DirectedDiagnoser only on
+  /// its kUnknown), answer, and stamp the setup/solve split.
+  [[nodiscard]] DiagnosisResult answer(const EngineRequest& request);
 };
 
 }  // namespace mmdiag

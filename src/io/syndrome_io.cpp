@@ -1,12 +1,14 @@
 #include "io/syndrome_io.hpp"
 
 #include <charconv>
+#include <cstdint>
 #include <istream>
 #include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 
+#include "topology/registry.hpp"
 #include "util/parse.hpp"
 
 namespace mmdiag {
@@ -31,6 +33,7 @@ bool next_record(std::istream& is, std::string& line, std::size_t& lineno) {
 /// optional model line had to consume — the record readers drain it first.
 struct HeaderInfo {
   std::string spec;
+  std::size_t spec_line = 0;
   DiagnosisModel model = DiagnosisModel::kMMStar;
   std::string pending;
   bool has_pending = false;
@@ -48,6 +51,7 @@ HeaderInfo read_header(std::istream& is, std::size_t& lineno) {
     fail(lineno, "expected 'topology <spec>'");
   }
   h.spec = line.substr(9);
+  h.spec_line = lineno;
   if (next_record(is, line, lineno)) {
     if (line.rfind("model ", 0) == 0) {
       try {
@@ -74,8 +78,47 @@ bool next_body_record(std::istream& is, HeaderInfo& h, std::string& line,
   return next_record(is, line, lineno);
 }
 
+/// The shortest v1 node record, "node <id> -\n", in bytes.
+constexpr std::uint64_t kMinRecordBytes = 9;
+
+/// Refuses a spec whose node records cannot fit in what is left of a
+/// seekable stream, before the resolver builds its graph: a 45-byte file
+/// naming hypercube 26 must not allocate 2^26 adjacency rows. The node
+/// count comes from a registry parse, which builds no adjacency. A spec the
+/// registry cannot parse, or a stream that cannot seek, is left to the
+/// resolver.
+void check_room_for_records(std::istream& is, const HeaderInfo& h) {
+  std::uint64_t nodes = 0;
+  try {
+    nodes = make_topology_from_spec(h.spec)->info().num_nodes;
+  } catch (const std::exception&) {
+    return;
+  }
+  std::streambuf& buf = *is.rdbuf();
+  const std::streampos here = buf.pubseekoff(0, std::ios_base::cur,
+                                             std::ios_base::in);
+  if (here == std::streampos(-1)) return;
+  const std::streampos end = buf.pubseekoff(0, std::ios_base::end,
+                                            std::ios_base::in);
+  buf.pubseekpos(here, std::ios_base::in);
+  if (end == std::streampos(-1) || end < here) return;
+  // The header's look-ahead already consumed one body line.
+  const std::uint64_t bytes =
+      static_cast<std::uint64_t>(end - here) +
+      (h.has_pending ? h.pending.size() + 1 : 0);
+  if (nodes <= bytes / kMinRecordBytes) return;
+  fail(h.spec_line,
+       "topology '" + h.spec + "' has " + std::to_string(nodes) +
+           " nodes, but the " + std::to_string(bytes) +
+           " bytes left hold at most " +
+           std::to_string(bytes / kMinRecordBytes) + " node records of " +
+           std::to_string(kMinRecordBytes) +
+           " bytes or more: node record(s) missing");
+}
+
 /// The shared header-and-resolve step: the header, a refusal of the other
-/// model family, and the graph `resolve` maps the spec to.
+/// model family, a refusal of a spec too large for the bytes left, and the
+/// graph `resolve` maps the spec to.
 const Graph& resolve_header(std::istream& is, HeaderInfo& h,
                             std::size_t& lineno, bool want_directed,
                             const GraphResolver& resolve) {
@@ -89,6 +132,7 @@ const Graph& resolve_header(std::istream& is, HeaderInfo& h,
     fail(lineno, "file carries a directed syndrome (model '" + name +
                      "'): use read_directed_syndrome");
   }
+  check_room_for_records(is, h);
   try {
     return resolve(h.spec);
   } catch (const std::exception& e) {

@@ -67,7 +67,9 @@ void write_syndrome(std::ostream& os, const std::string& spec,
 /// Parse an MM* syndrome file against `resolve(spec)`; throws
 /// std::runtime_error with a line-numbered message on any malformed input,
 /// including a file whose model line names a directed model (use
-/// read_directed_syndrome there).
+/// read_directed_syndrome there). On a seekable stream, a topology whose
+/// node records cannot fit in the bytes left is refused before `resolve`
+/// is called, so a short file cannot make the resolver build a huge graph.
 [[nodiscard]] ParsedSyndrome read_syndrome(std::istream& is,
                                            const GraphResolver& resolve);
 

@@ -828,6 +828,34 @@ TEST(DiagnosisEngine, EvictionCountersSplitLruFromExplicit) {
   EXPECT_EQ(counters.entries, 0u);
 }
 
+TEST(DiagnosisEngine, ServeKeepsNoCalibrationAliveAfterInvalidation) {
+  // The cache is the only owner a served calibration has once the stream
+  // is answered: no lane keeps a driver (and with it the bundle) behind,
+  // so invalidation really retires it.
+  EngineOptions options;
+  options.threads = 2;
+  DiagnosisEngine engine(options);
+  std::weak_ptr<const Calibration> retired;
+  {
+    const std::shared_ptr<const Calibration> cal =
+        engine.calibration("hypercube 10");
+    retired = cal;
+    const Syndrome syndrome(cal->graph);
+    const TableOracle table(cal->graph, syndrome);
+    const std::vector<DiagnosisResult> served = engine.serve(
+        {{"hypercube 10", &table, nullptr, kNoNode},
+         {"hypercube 10", &table, nullptr, kNoNode}});
+    ASSERT_EQ(served.size(), 2u);
+    for (const DiagnosisResult& r : served) {
+      ASSERT_TRUE(r.success) << r.failure_reason;
+      EXPECT_TRUE(r.faults.empty());
+      EXPECT_TRUE(r.calibration_reused);
+    }
+  }
+  EXPECT_EQ(engine.invalidate_all(), 1u);
+  EXPECT_TRUE(retired.expired());
+}
+
 TEST(DiagnosisEngine, InvalidationRacingServeStaysBitIdentical) {
   // serve() under a hammering invalidate_all(): eviction only decides where
   // calibrations live (shared_ptr holders keep evicted bundles alive), so

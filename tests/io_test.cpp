@@ -4,6 +4,7 @@
 
 #include <functional>
 #include <sstream>
+#include <stdexcept>
 
 #include "core/diagnoser.hpp"
 #include "io/syndrome_io.hpp"
@@ -112,6 +113,38 @@ TEST(SyndromeIo, MalformedInputsRejectedWithLineNumbers) {
 
   std::string no_end = base.substr(0, base.find("end"));
   expect_fail(no_end, "end");
+}
+
+TEST(SyndromeIo, SpecTooLargeForTheFileIsRefusedBeforeResolving) {
+  // 45 bytes naming a 2^26-node graph: the size check must refuse it from
+  // the registry's node count, before any resolver builds adjacency.
+  const auto resolve = [](const std::string& spec) -> const Graph& {
+    ADD_FAILURE() << "resolver called for " << spec;
+    throw std::logic_error("resolver called");
+  };
+  const auto expect_refusal = [](const std::string& text, auto read) {
+    std::stringstream in(text);
+    try {
+      (void)read(in);
+      FAIL() << "expected a refusal";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("syndrome file, line 2: ", 0), 0u) << what;
+      EXPECT_NE(what.find("67108864 nodes"), std::string::npos) << what;
+      // "end\n" is all that follows the header.
+      EXPECT_NE(what.find(" 4 bytes"), std::string::npos) << what;
+    }
+  };
+  const std::string mm_file =
+      "mmdiag-syndrome v1\ntopology hypercube 26\nend\n";
+  ASSERT_EQ(mm_file.size(), 45u);
+  expect_refusal(mm_file, [&](std::istream& in) {
+    return read_syndrome(in, resolve);
+  });
+  expect_refusal("mmdiag-syndrome v1\ntopology hypercube 26\nmodel bgm\nend\n",
+                 [&](std::istream& in) {
+                   return read_directed_syndrome(in, resolve);
+                 });
 }
 
 // ---------------------------------------------------------------------------
